@@ -34,7 +34,6 @@ int Run(const Flags& flags) {
   engine_options.num_threads =
       static_cast<size_t>(flags.GetInt("threads", 1));
   engine_options.cache_predictions = !flags.GetBool("no-predict-cache", false);
-  engine_options.use_task_graph = !flags.GetBool("no-task-graph", false);
   ExplainerEngine engine(engine_options);
 
   MagellanDatasetSpec spec = FindMagellanSpec(code).ValueOrDie();

@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical pieces:
 // feature extraction, EM model inference, perturbation sampling, surrogate
-// fitting, full explanations per technique, and the staged ExplainerEngine
-// batch path at different worker-thread counts.
+// fitting, full explanations per technique, and the ExplainerEngine batch
+// path at different worker-thread counts.
 //
 // On top of google-benchmark's own flags, --metrics-out=FILE dumps the
 // metrics registry (per-stage engine histograms, model-query latency, pool
@@ -148,7 +148,7 @@ const ForestEmModel& GetForestModel() {
   return *model;
 }
 
-/// The staged batch path: 16 records per iteration through one engine.
+/// The batch path: 16 records per iteration through one engine.
 /// state.range(0) = worker threads. The determinism contract makes the
 /// thread counts directly comparable — they produce identical explanations.
 template <typename ModelGetter>

@@ -94,9 +94,9 @@ int Run(const Flags& flags) {
   for (const auto& s : scored) matches += s.probability >= 0.5;
   std::cout << "matching: " << matches << " predicted matches\n\n";
 
-  // --- Stage 3: explain the decisions that matter, through the staged
-  // engine: both records go out as ONE batch, so their perturbations share
-  // the prediction memo and (with --threads > 1) the worker pool.
+  // --- Stage 3: explain the decisions that matter, through the engine:
+  // both records go out as ONE batch, so their units share the call's
+  // token cache and (with --threads > 1) the worker pool.
   const Schema& schema = *generator->schema();
   LandmarkExplainer explainer(GenerationStrategy::kAuto);
   EngineOptions engine_options;

@@ -7,33 +7,27 @@
 #               (determinism / concurrency / telemetry / hygiene contracts)
 #               plus clang-tidy where available
 #   asan-ubsan  memory errors + undefined behaviour
-#   tsan        data races in the engine pipeline (both the task-graph
-#               scheduler and the legacy barriered path) and the telemetry
+#   tsan        data races in the engine's task graph and the telemetry
 #               hot paths (sharded counters, trace rings, the pool gauges);
-#               an explicit second pass re-runs the telemetry-, scheduler-
-#               and flight-deck-focused tests (TaskGraph/Scheduler/
-#               FlightDeck/Profiler/Stall suites, including the
-#               concurrent-scrape-during-batch test) so a race there fails
-#               loudly even when triaging the full run
+#               an explicit second pass re-runs the telemetry-, engine-
+#               and flight-deck-focused tests (TaskGraph / EngineScheduler /
+#               EngineOneRecord / FlightDeck / Profiler / Stall suites,
+#               including the concurrent-scrape-during-batch test) so a race
+#               there fails loudly even when triaging the full run
 #   deadlock-debug  dedicated -DLANDMARK_DEADLOCK_DEBUG=ON build (no
 #               sanitizers): death tests for the runtime lock-order
 #               detector, the engine/telemetry suites under
 #               instrumentation, and a byte-compare of `landmark_cli
 #               explain` output against the default build proving the
 #               detector is observation-only
-#   simd        byte-compare of `landmark_cli explain` output and the audit
-#               unit lines with and without `--no-simd`, on the default
-#               build and again under asan-ubsan — the vectorized kernels'
-#               bit-exactness contract, end to end
 #
 # After the sanitizer matrix, a default (non-sanitized) landmark_cli runs
 # `telemetry-demo --trace-out --metrics-out --audit-out --profile-out
 # --timeline-out` and the outputs are checked by scripts/validate_trace.py
-# (stdlib Python; skipped when python3 is absent), the perf_smoke ctest
-# label smoke-runs the query-stage benchmark (scripts/run_bench.sh is the
-# full driver), and scripts/bench_diff.py compares the committed
-# BENCH_6/BENCH_7 trajectory files warn-only (CI hardware varies; the
-# table is for humans).
+# (stdlib Python; skipped when python3 is absent). The perfbench smoke
+# stage then runs perfbench's own tests (`python3 -m unittest discover -s
+# perfbench/tests`): the golden-check unit tests plus one short run of
+# every benchmark workload, which must report correct output.
 #
 # Finally the exporter smoke stage starts a tiny batch with
 # `--metrics-port 0` (ephemeral port announced on stdout), scrapes /metrics
@@ -63,12 +57,11 @@ done
 
 echo "=== [tsan] telemetry + scheduler focused re-run ==="
 ctest --preset tsan -j "$JOBS" -R \
-  'Counter|Gauge|Histogram|MetricsRegistry|TraceRecorder|EngineTelemetry|ThreadPool|HttpExporter|Audit|Prometheus|TaskGraph|Scheduler|FlightDeck|Profiler|Activity|Stall|SnapshotCollector|WindowedQuantile|Timeline|Slo'
+  'Counter|Gauge|Histogram|MetricsRegistry|TraceRecorder|EngineTelemetry|ThreadPool|HttpExporter|Audit|Prometheus|TaskGraph|Scheduler|EngineOneRecord|FlightDeck|Profiler|Activity|Stall|SnapshotCollector|WindowedQuantile|Timeline|Slo'
 
-echo "=== [default] telemetry outputs + perf smoke ==="
+echo "=== [default] telemetry outputs ==="
 cmake -B build -S . -DLANDMARK_WERROR=ON >/dev/null
-cmake --build build -j "$JOBS" --target landmark_cli query_stage_bench http_probe
-(cd build && ctest -L perf_smoke --output-on-failure)
+cmake --build build -j "$JOBS" --target landmark_cli http_probe
 TELEMETRY_TMP="$(mktemp -d)"
 trap 'rm -rf "$TELEMETRY_TMP"' EXIT
 ./build/tools/landmark_cli telemetry-demo --records 8 \
@@ -84,14 +77,14 @@ if command -v python3 >/dev/null 2>&1; then
     --audit "$TELEMETRY_TMP/audit.jsonl" \
     --profile "$TELEMETRY_TMP/profile.folded" \
     --timeline "$TELEMETRY_TMP/timeline.jsonl"
-  if [ -f BENCH_6.json ] && [ -f BENCH_7.json ]; then
-    # Warn-only: trajectory files may come from different machines.
-    python3 scripts/bench_diff.py BENCH_6.json BENCH_7.json || \
-      echo "bench_diff: regression reported above (warn-only)"
-  fi
 else
   echo "python3 not found; skipped trace/metrics validation"
 fi
+
+# Perfbench smoke: the benchmark's golden-check unit tests and one short
+# run of each workload (perfbench builds itself under .bench_build/).
+echo "=== perfbench smoke ==="
+python3 -m unittest discover -s perfbench/tests
 
 # Deadlock-debug stage: a dedicated (non-sanitized) build with the runtime
 # lock-order detector on. The asan-ubsan preset above already runs the full
@@ -122,33 +115,6 @@ cmp "$TELEMETRY_TMP/explain_detector_off.txt" \
 cmp <(grep '"type":"unit"' "$TELEMETRY_TMP/audit_detector_off.jsonl") \
   <(grep '"type":"unit"' "$TELEMETRY_TMP/audit_detector_on.jsonl")
 echo "deadlock-debug: detector is observation-only (outputs identical)"
-
-# SIMD equivalence stage: the vectorized kernels must be bit-identical to
-# their scalar twins end to end, so `landmark_cli explain` output and the
-# audit unit lines must not change under `--no-simd` — checked on the
-# default build and again under asan-ubsan, where a lane overrun or
-# misaligned load in a kernel would trip the sanitizer.
-simd_equivalence() {
-  local bindir="$1" tag="$2"
-  "$bindir/tools/landmark_cli" explain --dataset S-BR --pair 7 \
-    --technique double >"$TELEMETRY_TMP/explain_simd_on_$tag.txt"
-  "$bindir/tools/landmark_cli" explain --dataset S-BR --pair 7 \
-    --technique double --no-simd >"$TELEMETRY_TMP/explain_simd_off_$tag.txt"
-  cmp "$TELEMETRY_TMP/explain_simd_on_$tag.txt" \
-    "$TELEMETRY_TMP/explain_simd_off_$tag.txt"
-  "$bindir/tools/landmark_cli" telemetry-demo --records 8 \
-    --audit-out="$TELEMETRY_TMP/audit_simd_on_$tag.jsonl" >/dev/null
-  "$bindir/tools/landmark_cli" telemetry-demo --records 8 --no-simd \
-    --audit-out="$TELEMETRY_TMP/audit_simd_off_$tag.jsonl" >/dev/null
-  cmp <(grep '"type":"unit"' "$TELEMETRY_TMP/audit_simd_on_$tag.jsonl") \
-    <(grep '"type":"unit"' "$TELEMETRY_TMP/audit_simd_off_$tag.jsonl")
-  echo "simd equivalence [$tag]: scalar and vectorized outputs identical"
-}
-
-echo "=== simd equivalence [default] ==="
-simd_equivalence build default
-echo "=== simd equivalence [asan-ubsan] ==="
-simd_equivalence build-asan-ubsan asan-ubsan
 
 # Exporter smoke: background a tiny batch that serves /metrics on an
 # ephemeral port and lingers, poll the announced port until the finished
@@ -238,21 +204,25 @@ timeline_smoke() {
     kill "$pid" 2>/dev/null || true
     return 1
   fi
+  # Wait until the SLO has data: the port is announced before the batch
+  # runs, and the collector folds the batch into a window only on a later
+  # tick, so probing right away can see an SLO with no data yet.
   local scraped=""
   for _ in $(seq 1 600); do
-    if "$bindir/tools/http_probe" "$port" '/timelinez?format=json' \
-        --expect-substring '"windows":[' \
-        >"$TELEMETRY_TMP/timelinez_$tag.json" 2>/dev/null; then
+    if "$bindir/tools/http_probe" "$port" '/sloz?format=json' \
+        --expect-substring '"has_data":true' >/dev/null 2>&1; then
       scraped=1
       break
     fi
     sleep 0.2
   done
   if [ -z "$scraped" ]; then
-    echo "timeline smoke [$tag]: /timelinez never served a window"
+    echo "timeline smoke [$tag]: /sloz never had data"
     kill "$pid" 2>/dev/null || true
     return 1
   fi
+  "$bindir/tools/http_probe" "$port" '/timelinez?format=json' \
+    --expect-substring '"windows":[' >"$TELEMETRY_TMP/timelinez_$tag.json"
   "$bindir/tools/http_probe" "$port" /timelinez \
     --expect-substring "landmark timeline" >/dev/null
   "$bindir/tools/http_probe" "$port" /sloz \

@@ -1,6 +1,7 @@
 #include "core/engine/explainer_engine.h"
 
 #include <algorithm>
+#include <functional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -10,7 +11,6 @@
 #include "core/surrogate.h"
 #include "em/prepared_batch.h"
 #include "text/token_cache.h"
-#include "util/simd.h"
 #include "util/string_util.h"
 #include "util/telemetry/audit.h"
 #include "util/telemetry/flight_deck.h"
@@ -61,9 +61,9 @@ SurrogateOptions MakeSurrogateOptions(const ExplainerOptions& options) {
   return surrogate;
 }
 
-/// One unit flowing through the batch pipeline (either scheduler). Every
-/// field is written by exactly one stage of the unit's own chain, which is
-/// what makes the task-graph nodes race-free without per-unit locks.
+/// One unit flowing through the graph. Every field is written by exactly
+/// one node of the unit's own chain, which is what makes the nodes
+/// race-free without per-unit locks.
 struct UnitWork {
   size_t record_index = 0;
   ExplainUnit unit;
@@ -75,24 +75,19 @@ struct UnitWork {
   std::vector<uint32_t> mask_to_unique;
   std::vector<uint32_t> unique_index;  // indices into `masks`
 
-  // Reconstruct stage output. The staged scheduler moves these into its
-  // flat cross-record query batch; the task-graph scheduler queries them in
-  // place into `predictions`.
+  // Reconstruct stage output: one pair per unique mask.
   std::vector<PairRecord> reconstructed;
-  // Offset of this unit's unique reconstructions in the flat batch
-  // (staged scheduler only).
-  size_t query_offset = 0;
   bool queried = false;
 
-  // Query stage output (task-graph scheduler): one prediction per unique
-  // mask, aligned with `unique_index`.
+  // Query stage output: one prediction per unique mask, aligned with
+  // `unique_index`.
   std::vector<double> predictions;
 
-  // Fit stage outputs, consumed by the shared epilogue.
+  // Fit stage outputs, consumed by the epilogue.
   ExplanationQuality quality;
   bool fit_ok = false;
 
-  // Per-stage CPU-seconds of this unit's nodes (task-graph scheduler).
+  // Per-stage CPU-seconds of this unit's nodes.
   double plan_seconds = 0.0;
   double reconstruct_seconds = 0.0;
   double query_seconds = 0.0;
@@ -117,11 +112,15 @@ struct EngineMetrics {
   Histogram& query_seconds;
   Histogram& fit_seconds;
   Histogram& batch_seconds;
-  // Per-unit stage latencies (task-graph scheduler only — the staged
-  // scheduler has no per-unit decomposition). Recorded with exemplars from
-  // the epilogue, so an outlier bucket can name its ExplainUnit.
+  // Per-unit stage latencies, recorded with exemplars from the epilogue so
+  // an outlier bucket can name its ExplainUnit.
   Histogram& unit_query_seconds;
   Histogram& unit_fit_seconds;
+  Histogram& unit_critical_path_seconds;
+  Gauge& inflight_plan;
+  Gauge& inflight_reconstruct;
+  Gauge& inflight_query;
+  Gauge& inflight_fit;
 
   static const EngineMetrics& Get() {
     static const EngineMetrics* metrics = [] {
@@ -141,30 +140,13 @@ struct EngineMetrics {
                                r.GetHistogram("engine/fit_seconds"),
                                r.GetHistogram("engine/batch_seconds"),
                                r.GetHistogram("engine/unit/query_seconds"),
-                               r.GetHistogram("engine/unit/fit_seconds")};
-    }();
-    return *metrics;
-  }
-};
-
-/// Scheduler-specific metric handles (task-graph path only; names are part
-/// of the contract in docs/architecture.md, "Metric name contract").
-struct SchedulerMetrics {
-  Gauge& inflight_plan;
-  Gauge& inflight_reconstruct;
-  Gauge& inflight_query;
-  Gauge& inflight_fit;
-  Histogram& unit_critical_path_seconds;
-
-  static const SchedulerMetrics& Get() {
-    static const SchedulerMetrics* metrics = [] {
-      MetricsRegistry& r = MetricsRegistry::Global();
-      return new SchedulerMetrics{
-          r.GetGauge("engine/inflight/plan"),
-          r.GetGauge("engine/inflight/reconstruct"),
-          r.GetGauge("engine/inflight/query"),
-          r.GetGauge("engine/inflight/fit"),
-          r.GetHistogram("engine/unit_critical_path_seconds")};
+                               r.GetHistogram("engine/unit/fit_seconds"),
+                               r.GetHistogram(
+                                   "engine/unit_critical_path_seconds"),
+                               r.GetGauge("engine/inflight/plan"),
+                               r.GetGauge("engine/inflight/reconstruct"),
+                               r.GetGauge("engine/inflight/query"),
+                               r.GetGauge("engine/inflight/fit")};
     }();
     return *metrics;
   }
@@ -268,15 +250,15 @@ void PublishBatchStats(const EngineStats& stats, size_t cache_evictions) {
   m.reconstruct_seconds.Record(stats.reconstruct_seconds);
   m.query_seconds.Record(stats.query_seconds);
   m.fit_seconds.Record(stats.fit_seconds);
-  m.batch_seconds.Record(stats.total_seconds());
+  m.batch_seconds.Record(stats.wall_seconds);
 }
 
-/// Shared tail of both schedulers: propagate unit failures to their record
-/// (first failing unit in unit order wins), publish quality signals and
-/// capture audit lines, assemble per-record results in input order, and
-/// flush telemetry. Runs single-threaded in unit index order — the audit
-/// stream's byte-for-byte equality across schedulers and thread counts
-/// hangs on this loop, so neither scheduler may write audit lines itself.
+/// Single-threaded tail of every call: propagate unit failures to their
+/// record (first failing unit in unit order wins), publish quality signals
+/// and capture audit lines, assemble per-record results in input order, and
+/// flush telemetry. Runs in unit index order — the audit stream's
+/// byte-for-byte equality across thread counts hangs on this loop, so no
+/// graph node may write audit lines itself.
 /// `works` is the flat record-major unit list; units of record i occupy
 /// works[unit_begin[i], unit_begin[i + 1]).
 void FinalizeBatch(const EngineOptions& options,
@@ -359,8 +341,6 @@ void FinalizeBatch(const EngineOptions& options,
       context.has_audit_ordinal = true;
     }
     if (work.fit_ok) PublishExplanationQuality(work.quality, context);
-    // Per-unit stage seconds are only populated by the task-graph
-    // scheduler; the staged path leaves them 0.0 and records nothing here.
     if (work.queried && work.query_seconds > 0.0) {
       LANDMARK_OBSERVE_WITH_EXEMPLAR(metrics.unit_query_seconds,
                                      work.query_seconds, context);
@@ -377,337 +357,35 @@ void FinalizeBatch(const EngineOptions& options,
   PublishBatchStats(out->stats, cache_evictions);
 }
 
-}  // namespace
+/// Plans record i of a call (PairExplainer::Plan, or a pre-planned unit).
+using PlanFn = std::function<Result<std::vector<ExplainUnit>>(size_t)>;
 
-std::string EngineStats::ToString() const {
-  std::string out;
-  out += "records=" + std::to_string(num_records);
-  if (num_failed_records > 0) {
-    out += " (failed=" + std::to_string(num_failed_records) + ")";
-  }
-  out += " units=" + std::to_string(num_units);
-  out += " masks=" + std::to_string(num_masks);
-  out += " queries=" + std::to_string(num_model_queries);
-  out += " cache_hits=" + std::to_string(cache_hits);
-  out += " token_cache_hits=" + std::to_string(token_cache_hits);
-  out += " token_cache_misses=" + std::to_string(token_cache_misses);
-  out += " | plan=" + FormatDouble(plan_seconds, 3) + "s";
-  out += " reconstruct=" + FormatDouble(reconstruct_seconds, 3) + "s";
-  out += " query=" + FormatDouble(query_seconds, 3) + "s";
-  out += " fit=" + FormatDouble(fit_seconds, 3) + "s";
-  if (wall_seconds > 0.0) {
-    out += " wall=" + FormatDouble(wall_seconds, 3) + "s";
-  }
-  if (critical_path_seconds > 0.0) {
-    out += " critical_path=" + FormatDouble(critical_path_seconds, 3) + "s";
-  }
-  return out;
-}
-
-ExplainerEngine::ExplainerEngine(EngineOptions options) : options_(options) {
-  // Hard cap: a worker count beyond this is either a typo or a negative
-  // value cast to size_t; spawning it would abort in the pool.
-  constexpr size_t kMaxThreads = 256;
-  num_threads_ = options_.num_threads;
-  if (num_threads_ == 0) {
-    num_threads_ = std::max(1u, std::thread::hardware_concurrency());
-  }
-  num_threads_ = std::min(num_threads_, kMaxThreads);
-  if (num_threads_ > 1) pool_ = std::make_unique<ThreadPool>(num_threads_);
-  if (options_.stall_threshold > 0.0) {
-    StallWatchdogOptions watchdog_options;
-    watchdog_options.threshold_seconds = options_.stall_threshold;
-    watchdog_ = std::make_unique<StallWatchdog>(watchdog_options);
-  }
-}
-
-ExplainerEngine::~ExplainerEngine() = default;
-
-const ExplainerEngine& ExplainerEngine::Serial() {
-  static const ExplainerEngine* engine = new ExplainerEngine(EngineOptions{});
-  return *engine;
-}
-
-EngineBatchResult ExplainerEngine::ExplainBatch(
-    const EmModel& model, const std::vector<PairRecord>& pairs,
-    const PairExplainer& explainer) const {
-  std::vector<const PairRecord*> pointers;
-  pointers.reserve(pairs.size());
-  for (const PairRecord& pair : pairs) pointers.push_back(&pair);
-  return ExplainBatch(model, pointers, explainer);
-}
-
-EngineBatchResult ExplainerEngine::ExplainBatch(
-    const EmModel& model, const std::vector<const PairRecord*>& pairs,
-    const PairExplainer& explainer) const {
+/// Runs the unit graph over `pairs` on `pool` (null: inline on the calling
+/// thread) — the engine's only executor.
+EngineBatchResult RunGraph(const EngineOptions& options, const EmModel& model,
+                           const std::vector<const PairRecord*>& pairs,
+                           const PairExplainer& explainer, ThreadPool* pool,
+                           const PlanFn& plan) {
   const size_t n = pairs.size();
-  if (n == 0) return EngineBatchResult{};
-
   const Status valid = ValidateExplainerOptions(explainer.options());
   if (!valid.ok()) {
     EngineBatchResult out;
     out.stats.num_records = n;
     out.results.assign(n, Result<std::vector<Explanation>>(valid));
     out.stats.num_failed_records = n;
-    // Rejected batches never reach the pipeline; count them without
-    // polluting the stage-latency histograms with zero-length timings.
+    // Rejected calls never reach the graph; count them without polluting
+    // the stage-latency histograms with zero-length timings.
     EngineMetrics::Get().records.Add(n);
     EngineMetrics::Get().records_failed.Add(n);
     return out;
   }
-  return options_.use_task_graph
-             ? ExplainBatchTaskGraph(model, pairs, explainer)
-             : ExplainBatchStaged(model, pairs, explainer);
-}
 
-EngineBatchResult ExplainerEngine::ExplainBatchStaged(
-    const EmModel& model, const std::vector<const PairRecord*>& pairs,
-    const PairExplainer& explainer) const {
   LANDMARK_TRACE_SPAN("engine/batch");
-  // Kernel-variant selection for the whole batch (EngineOptions::simd).
-  simd::ScopedSimdEnabled simd_scope(options_.simd);
   Timer batch_timer;
   EngineBatchResult out;
-  const size_t n = pairs.size();
   out.stats.num_records = n;
 
-  // Register on the flight deck for /statusz and the stall watchdog. No
-  // task graph to attach on this path; stage chunks still tag the units
-  // they run so stalls carry unit identity.
-  BatchProgressScope deck(n, "staged", options_.stall_threshold);
-  const uint64_t deck_id = deck.progress().id();
-  // The calling thread carries a batch-wide frame so the sampling profiler
-  // sees a non-empty stack for the whole batch, not just while a worker
-  // happens to be inside a stage chunk.
-  LANDMARK_ACTIVITY("engine/batch");
-
-  auto parallel_for = [&](size_t count,
-                          const std::function<void(size_t, size_t)>& body) {
-    if (pool_ != nullptr) {
-      pool_->ParallelFor(count, body);
-    } else if (count > 0) {
-      body(0, count);
-    }
-  };
-
-  // --- Stage 1: plan. Token spaces + RNG streams per record, then masks,
-  // kernel weights, and the dedup memo per unit.
-  TraceSpan plan_span("engine/plan");
-  Timer timer;
-  std::vector<Result<std::vector<ExplainUnit>>> plans(
-      n, Result<std::vector<ExplainUnit>>(Status::Internal("not planned")));
-  parallel_for(n, [&](size_t begin, size_t end) {
-    LANDMARK_ACTIVITY("engine/plan");
-    for (size_t i = begin; i < end; ++i) {
-      NodeTagScope tag(deck_id, "engine/plan", static_cast<uint32_t>(i),
-                       kActivityNoIndex);
-      plans[i] = explainer.Plan(model, *pairs[i]);
-    }
-  });
-
-  std::vector<Status> record_status(n, Status::OK());
-  std::vector<UnitWork> works;
-  // Units of record i occupy works[unit_begin[i], unit_begin[i + 1]).
-  std::vector<size_t> unit_begin(n + 1, 0);
-  for (size_t i = 0; i < n; ++i) {
-    unit_begin[i] = works.size();
-    if (!plans[i].ok()) {
-      record_status[i] = plans[i].status();
-      continue;
-    }
-    for (ExplainUnit& unit : *plans[i]) {
-      UnitWork work;
-      work.record_index = i;
-      work.unit = std::move(unit);
-      works.push_back(std::move(work));
-    }
-  }
-  unit_begin[n] = works.size();
-  out.stats.num_units = works.size();
-
-  parallel_for(works.size(), [&](size_t begin, size_t end) {
-    LANDMARK_ACTIVITY("engine/plan");
-    for (size_t w = begin; w < end; ++w) {
-      UnitWork& work = works[w];
-      NodeTagScope tag(deck_id, "engine/plan",
-                       static_cast<uint32_t>(work.record_index),
-                       static_cast<uint32_t>(w));
-      explainer.SampleNeighborhood(work.unit.dim, work.unit.rng, &work.masks,
-                                   &work.kernel_weights);
-      work.mask_to_unique = DeduplicateMasks(
-          work.masks, options_.cache_predictions, &work.unique_index);
-    }
-  });
-  for (const UnitWork& work : works) out.stats.num_masks += work.masks.rows();
-  out.stats.plan_seconds = timer.ElapsedSeconds();
-  plan_span.End();
-
-  // --- Stage 2: reconstruct. One perturbed pair per *unique* mask.
-  TraceSpan reconstruct_span("engine/reconstruct");
-  timer.Reset();
-  parallel_for(works.size(), [&](size_t begin, size_t end) {
-    LANDMARK_ACTIVITY("engine/reconstruct");
-    for (size_t w = begin; w < end; ++w) {
-      UnitWork& work = works[w];
-      NodeTagScope tag(deck_id, "engine/reconstruct",
-                       static_cast<uint32_t>(work.record_index),
-                       static_cast<uint32_t>(w));
-      work.reconstructed.reserve(work.unique_index.size());
-      for (uint32_t mask_index : work.unique_index) {
-        Result<PairRecord> rec = explainer.ReconstructUnit(
-            work.unit, *pairs[work.record_index], work.masks.row(mask_index));
-        if (!rec.ok()) {
-          work.status = rec.status();
-          work.reconstructed.clear();
-          break;
-        }
-        work.reconstructed.push_back(std::move(rec).ValueOrDie());
-      }
-    }
-  });
-  for (const UnitWork& work : works) {
-    if (!work.status.ok() && record_status[work.record_index].ok()) {
-      record_status[work.record_index] = work.status;
-    }
-  }
-  out.stats.reconstruct_seconds = timer.ElapsedSeconds();
-  reconstruct_span.End();
-
-  // --- Stage 3: query. A single cross-record deduplicated batch, sharded
-  // over the pool. Units of failed records are excluded.
-  TraceSpan query_span("engine/query");
-  timer.Reset();
-  std::vector<PairRecord> batch;
-  size_t total_queries = 0;
-  // Unique masks planned for units whose record failed: their memo entries
-  // were built and then discarded (the memo's eviction counter).
-  size_t cache_evictions = 0;
-  for (UnitWork& work : works) {
-    if (!record_status[work.record_index].ok()) {
-      cache_evictions += work.unique_index.size();
-      continue;
-    }
-    total_queries += work.reconstructed.size();
-  }
-  batch.reserve(total_queries);
-  for (UnitWork& work : works) {
-    if (!record_status[work.record_index].ok()) continue;
-    work.query_offset = batch.size();
-    work.queried = true;
-    for (PairRecord& rec : work.reconstructed) batch.push_back(std::move(rec));
-    work.reconstructed.clear();
-  }
-  std::vector<double> predictions(batch.size());
-  if (options_.cache_features) {
-    // Fast path: resolve every distinct attribute string once, share each
-    // unit's frozen landmark side across all of its perturbations, then
-    // score through the prepared overloads. The single-threaded prepare is
-    // what permits lock-free concurrent reads during the sharded scoring.
-    TokenCache token_cache;
-    // The cache lives only for this stage; the probe scope detaches it
-    // from the deck before it is destroyed.
-    TokenCacheProbeScope probe(
-        deck.progress(), [&token_cache] { return token_cache.ShardSizes(); });
-    PreparedPairBatch prepared(batch, &token_cache);
-    for (const UnitWork& work : works) {
-      if (!work.queried) continue;
-      const LandmarkFeatureContext context = MakeLandmarkFeatureContext(
-          batch[work.query_offset], explainer.FrozenSide(work.unit),
-          token_cache);
-      prepared.PrepareRange(work.query_offset,
-                            work.query_offset + work.unique_index.size(),
-                            context);
-    }
-    parallel_for(batch.size(), [&](size_t begin, size_t end) {
-      LANDMARK_ACTIVITY("engine/query");
-      // The flat cross-record chunk covers many units; the tag names the
-      // stage only.
-      NodeTagScope tag(deck_id, "engine/query", kActivityNoIndex,
-                       kActivityNoIndex);
-      model.PredictProbaPrepared(prepared, begin, end,
-                                 predictions.data() + begin);
-    });
-    out.stats.token_cache_hits = token_cache.hits();
-    out.stats.token_cache_misses = token_cache.misses();
-    token_cache.PublishTelemetry();
-  } else {
-    parallel_for(batch.size(), [&](size_t begin, size_t end) {
-      LANDMARK_ACTIVITY("engine/query");
-      NodeTagScope tag(deck_id, "engine/query", kActivityNoIndex,
-                       kActivityNoIndex);
-      model.PredictProbaRange(batch, begin, end, predictions.data() + begin);
-    });
-  }
-  out.stats.num_model_queries = batch.size();
-  size_t live_masks = 0;
-  for (const UnitWork& work : works) {
-    if (work.queried) live_masks += work.masks.rows();
-  }
-  out.stats.cache_hits = live_masks - batch.size();
-  out.stats.query_seconds = timer.ElapsedSeconds();
-  query_span.End();
-
-  // --- Stage 4: fit. Weighted ridge per unit, coefficients mapped back to
-  // token weights by the explainer.
-  TraceSpan fit_span("engine/fit");
-  timer.Reset();
-  const SurrogateOptions surrogate_options =
-      MakeSurrogateOptions(explainer.options());
-  // Quality signals need the full (duplicates included) neighbourhood
-  // predictions, which are local to the fit loop; computed there, published
-  // and audited from the single-threaded epilogue (FinalizeBatch).
-  parallel_for(works.size(), [&](size_t begin, size_t end) {
-    LANDMARK_ACTIVITY("engine/fit");
-    for (size_t w = begin; w < end; ++w) {
-      UnitWork& work = works[w];
-      if (!work.queried) continue;
-      NodeTagScope tag(deck_id, "engine/fit",
-                       static_cast<uint32_t>(work.record_index),
-                       static_cast<uint32_t>(w));
-      std::vector<double> unit_predictions(work.masks.rows());
-      for (size_t m = 0; m < work.masks.rows(); ++m) {
-        unit_predictions[m] =
-            predictions[work.query_offset + work.mask_to_unique[m]];
-      }
-      Result<SurrogateFit> fit =
-          FitSurrogate(work.masks, unit_predictions, work.kernel_weights,
-                       surrogate_options);
-      if (!fit.ok()) {
-        work.status = fit.status();
-        continue;
-      }
-      // Slot 0 of the dedup list is the all-active mask (asserted by
-      // SampleNeighborhood), so this is f(all-active).
-      work.unit.shell.model_prediction = unit_predictions[0];
-      explainer.ApplyFit(*fit, &work.unit);
-      work.quality =
-          ComputeExplanationQuality(work.unit.shell, unit_predictions);
-      work.fit_ok = true;
-    }
-  });
-  out.stats.fit_seconds = timer.ElapsedSeconds();
-  fit_span.End();
-
-  std::vector<UnitWork*> work_ptrs;
-  work_ptrs.reserve(works.size());
-  for (UnitWork& work : works) work_ptrs.push_back(&work);
-  FinalizeBatch(options_, pairs, work_ptrs, unit_begin, record_status,
-                cache_evictions, batch_timer, &deck.progress(), &out);
-  return out;
-}
-
-EngineBatchResult ExplainerEngine::ExplainBatchTaskGraph(
-    const EmModel& model, const std::vector<const PairRecord*>& pairs,
-    const PairExplainer& explainer) const {
-  LANDMARK_TRACE_SPAN("engine/batch");
-  // Kernel-variant selection for the whole batch (EngineOptions::simd).
-  simd::ScopedSimdEnabled simd_scope(options_.simd);
-  Timer batch_timer;
-  EngineBatchResult out;
-  const size_t n = pairs.size();
-  out.stats.num_records = n;
-
-  /// State of one record in the unit DAG. `units` is built by the record's
+  /// State of one record in the unit graph. `units` is built by the record's
   /// plan node and never resized afterwards, so unit nodes hold stable
   /// references into it; each downstream field of each UnitWork is written
   /// by exactly one node.
@@ -719,26 +397,26 @@ EngineBatchResult ExplainerEngine::ExplainBatchTaskGraph(
   std::vector<Status> record_status(n, Status::OK());
   const SurrogateOptions surrogate_options =
       MakeSurrogateOptions(explainer.options());
-  const SchedulerMetrics& sm = SchedulerMetrics::Get();
-  // One concurrent cache for the whole epoch: units interleave their query
-  // stages against it from different workers (see text/token_cache.h); the
-  // hit/miss totals still match the staged path because every distinct
-  // string is profiled exactly once either way.
+  const EngineMetrics& metrics = EngineMetrics::Get();
+  // One concurrent cache for the whole call: units interleave their query
+  // stages against it from different workers (see text/token_cache.h);
+  // every distinct string is profiled exactly once whatever the
+  // interleaving, so the hit/miss totals do not depend on scheduling.
   TokenCache token_cache;
 
-  TaskGraph graph(pool_.get());
+  TaskGraph graph(pool);
 
-  // Register on the flight deck (/statusz DAG progress, stall watchdog).
+  // Register on the flight deck (/statusz graph progress, stall watchdog).
   // Declared after the graph and cache so its destructor — which detaches
   // both pointers — runs before either of them dies.
-  BatchProgressScope deck(n, "task-graph", options_.stall_threshold);
+  BatchProgressScope deck(n, options.stall_threshold);
   deck.progress().SetGraph(&graph);
-  if (options_.cache_features) {
-    deck.progress().SetTokenCacheProbe(
-        [&token_cache] { return token_cache.ShardSizes(); });
-  }
+  deck.progress().SetTokenCacheProbe(
+      [&token_cache] { return token_cache.ShardSizes(); });
   const uint64_t deck_id = deck.progress().id();
-  // Batch-wide profiler frame on the calling thread (see ExplainBatchStaged).
+  // The calling thread carries a call-wide frame so the sampling profiler
+  // sees a non-empty stack for the whole call, not just while a worker
+  // happens to be inside a node.
   LANDMARK_ACTIVITY("engine/batch");
 
   // Per-unit stage bodies. Everything is captured by reference; the graph
@@ -751,16 +429,16 @@ EngineBatchResult ExplainerEngine::ExplainBatchTaskGraph(
       // Neighborhood sampling is plan-stage work that happens to live in
       // the unit's first node (it needs only the unit itself, and splitting
       // it off would double the node count for no extra parallelism).
-      InflightScope inflight(sm.inflight_plan);
+      InflightScope inflight(metrics.inflight_plan);
       TraceSpan span("engine/plan");
       Timer timer;
       explainer.SampleNeighborhood(work.unit.dim, work.unit.rng, &work.masks,
                                    &work.kernel_weights);
       work.mask_to_unique = DeduplicateMasks(
-          work.masks, options_.cache_predictions, &work.unique_index);
+          work.masks, options.cache_predictions, &work.unique_index);
       work.plan_seconds = timer.ElapsedSeconds();
     }
-    InflightScope inflight(sm.inflight_reconstruct);
+    InflightScope inflight(metrics.inflight_reconstruct);
     TraceSpan span("engine/reconstruct");
     Timer timer;
     work.reconstructed.reserve(work.unique_index.size());
@@ -777,11 +455,10 @@ EngineBatchResult ExplainerEngine::ExplainBatchTaskGraph(
     work.reconstruct_seconds = timer.ElapsedSeconds();
   };
 
-  // The per-record join reproduces the staged barrier's failure semantics:
-  // one unit's reconstruct failure excludes ALL of the record's units from
-  // the query stage (first failing unit in unit order wins), so which units
-  // query — and hence every audit line and cache counter — is independent
-  // of node scheduling.
+  // The per-record join: one unit's reconstruct failure excludes ALL of the
+  // record's units from the query stage (first failing unit in unit order
+  // wins), so which units query — and hence every audit line and cache
+  // counter — is independent of node scheduling.
   auto join_body = [&](size_t i) {
     RecordWork& rec = records[i];
     for (const UnitWork& work : rec.units) {
@@ -798,27 +475,20 @@ EngineBatchResult ExplainerEngine::ExplainBatchTaskGraph(
     if (!work.queried) return;
     NodeTagScope node_tag(deck_id, "engine/query", static_cast<uint32_t>(i),
                           static_cast<uint32_t>(w));
-    InflightScope inflight(sm.inflight_query);
+    InflightScope inflight(metrics.inflight_query);
     TraceSpan span("engine/query");
     Timer timer;
     work.predictions.resize(work.reconstructed.size());
-    if (options_.cache_features) {
-      // Per-unit prepared batch over the shared cache: the frozen landmark
-      // side resolves once per unit, every other string through the
-      // concurrent cache. reconstructed[0] is the all-active mask's pair —
-      // the same row the staged path takes its context from.
-      PreparedPairBatch prepared(work.reconstructed, &token_cache);
-      const LandmarkFeatureContext context = MakeLandmarkFeatureContext(
-          work.reconstructed.front(), explainer.FrozenSide(work.unit),
-          token_cache);
-      prepared.PrepareRange(0, work.reconstructed.size(), context);
-      model.PredictProbaPrepared(prepared, 0, work.reconstructed.size(),
-                                 work.predictions.data());
-    } else {
-      model.PredictProbaRange(work.reconstructed, 0,
-                              work.reconstructed.size(),
-                              work.predictions.data());
-    }
+    // Per-unit prepared batch over the shared cache: the frozen landmark
+    // side resolves once per unit, every other string through the
+    // concurrent cache. reconstructed[0] is the all-active mask's pair.
+    PreparedPairBatch prepared(work.reconstructed, &token_cache);
+    const LandmarkFeatureContext context = MakeLandmarkFeatureContext(
+        work.reconstructed.front(), explainer.FrozenSide(work.unit),
+        token_cache);
+    prepared.PrepareRange(0, work.reconstructed.size(), context);
+    model.PredictProbaPrepared(prepared, 0, work.reconstructed.size(),
+                               work.predictions.data());
     work.query_seconds = timer.ElapsedSeconds();
   };
 
@@ -827,7 +497,7 @@ EngineBatchResult ExplainerEngine::ExplainBatchTaskGraph(
     if (!work.queried) return;
     NodeTagScope node_tag(deck_id, "engine/fit", static_cast<uint32_t>(i),
                           static_cast<uint32_t>(w));
-    InflightScope inflight(sm.inflight_fit);
+    InflightScope inflight(metrics.inflight_fit);
     TraceSpan span("engine/fit");
     Timer timer;
     std::vector<double> unit_predictions(work.masks.rows());
@@ -860,17 +530,17 @@ EngineBatchResult ExplainerEngine::ExplainBatchTaskGraph(
       NodeTagScope node_tag(deck_id, "engine/plan", static_cast<uint32_t>(i),
                             kActivityNoIndex);
       {
-        InflightScope inflight(sm.inflight_plan);
+        InflightScope inflight(metrics.inflight_plan);
         TraceSpan span("engine/plan");
         Timer timer;
-        Result<std::vector<ExplainUnit>> plan = explainer.Plan(model, *pairs[i]);
-        if (!plan.ok()) {
-          record_status[i] = plan.status();
+        Result<std::vector<ExplainUnit>> units = plan(i);
+        if (!units.ok()) {
+          record_status[i] = units.status();
           rec.plan_seconds = timer.ElapsedSeconds();
           return;
         }
-        rec.units.reserve(plan->size());
-        for (ExplainUnit& unit : *plan) {
+        rec.units.reserve(units->size());
+        for (ExplainUnit& unit : *units) {
           UnitWork work;
           work.record_index = i;
           work.unit = std::move(unit);
@@ -941,120 +611,110 @@ EngineBatchResult ExplainerEngine::ExplainBatchTaskGraph(
       out.stats.fit_seconds += work.fit_seconds;
       const double unit_critical_path = rec.plan_seconds + slowest_sibling +
                                         work.query_seconds + work.fit_seconds;
-      sm.unit_critical_path_seconds.Record(unit_critical_path);
+      metrics.unit_critical_path_seconds.Record(unit_critical_path);
       out.stats.critical_path_seconds =
           std::max(out.stats.critical_path_seconds, unit_critical_path);
     }
   }
 
-  if (options_.cache_features) {
-    out.stats.token_cache_hits = token_cache.hits();
-    out.stats.token_cache_misses = token_cache.misses();
-    token_cache.PublishTelemetry();
-  }
-  FinalizeBatch(options_, pairs, works, unit_begin, record_status,
+  out.stats.token_cache_hits = token_cache.hits();
+  out.stats.token_cache_misses = token_cache.misses();
+  token_cache.PublishTelemetry();
+  FinalizeBatch(options, pairs, works, unit_begin, record_status,
                 cache_evictions, batch_timer, &deck.progress(), &out);
   return out;
+}
+
+}  // namespace
+
+std::string EngineStats::ToString() const {
+  std::string out;
+  out += "records=" + std::to_string(num_records);
+  if (num_failed_records > 0) {
+    out += " (failed=" + std::to_string(num_failed_records) + ")";
+  }
+  out += " units=" + std::to_string(num_units);
+  out += " masks=" + std::to_string(num_masks);
+  out += " queries=" + std::to_string(num_model_queries);
+  out += " cache_hits=" + std::to_string(cache_hits);
+  out += " token_cache_hits=" + std::to_string(token_cache_hits);
+  out += " token_cache_misses=" + std::to_string(token_cache_misses);
+  out += " | plan=" + FormatDouble(plan_seconds, 3) + "s";
+  out += " reconstruct=" + FormatDouble(reconstruct_seconds, 3) + "s";
+  out += " query=" + FormatDouble(query_seconds, 3) + "s";
+  out += " fit=" + FormatDouble(fit_seconds, 3) + "s";
+  if (wall_seconds > 0.0) {
+    out += " wall=" + FormatDouble(wall_seconds, 3) + "s";
+  }
+  if (critical_path_seconds > 0.0) {
+    out += " critical_path=" + FormatDouble(critical_path_seconds, 3) + "s";
+  }
+  return out;
+}
+
+ExplainerEngine::ExplainerEngine(EngineOptions options) : options_(options) {
+  // Hard cap: a worker count beyond this is either a typo or a negative
+  // value cast to size_t; spawning it would abort in the pool.
+  constexpr size_t kMaxThreads = 256;
+  num_threads_ = options_.num_threads;
+  if (num_threads_ == 0) {
+    num_threads_ = std::max(1u, std::thread::hardware_concurrency());
+  }
+  num_threads_ = std::min(num_threads_, kMaxThreads);
+  if (num_threads_ > 1) pool_ = std::make_unique<ThreadPool>(num_threads_);
+  if (options_.stall_threshold > 0.0) {
+    StallWatchdogOptions watchdog_options;
+    watchdog_options.threshold_seconds = options_.stall_threshold;
+    watchdog_ = std::make_unique<StallWatchdog>(watchdog_options);
+  }
+}
+
+ExplainerEngine::~ExplainerEngine() = default;
+
+const ExplainerEngine& ExplainerEngine::Serial() {
+  static const ExplainerEngine* engine = new ExplainerEngine(EngineOptions{});
+  return *engine;
+}
+
+EngineBatchResult ExplainerEngine::ExplainBatch(
+    const EmModel& model, const std::vector<PairRecord>& pairs,
+    const PairExplainer& explainer) const {
+  std::vector<const PairRecord*> pointers;
+  pointers.reserve(pairs.size());
+  for (const PairRecord& pair : pairs) pointers.push_back(&pair);
+  return ExplainBatch(model, pointers, explainer);
+}
+
+EngineBatchResult ExplainerEngine::ExplainBatch(
+    const EmModel& model, const std::vector<const PairRecord*>& pairs,
+    const PairExplainer& explainer) const {
+  if (pairs.empty()) return EngineBatchResult{};
+  return RunGraph(options_, model, pairs, explainer, pool_.get(),
+                  [&](size_t i) { return explainer.Plan(model, *pairs[i]); });
 }
 
 Result<std::vector<Explanation>> ExplainerEngine::ExplainOne(
     const EmModel& model, const PairRecord& pair,
     const PairExplainer& explainer) const {
-  {
-    Status valid = ValidateExplainerOptions(explainer.options());
-    if (!valid.ok()) return valid;
-  }
-  LANDMARK_ASSIGN_OR_RETURN(std::vector<ExplainUnit> units,
-                            explainer.Plan(model, pair));
-  std::vector<Explanation> out;
-  out.reserve(units.size());
-  for (ExplainUnit& unit : units) {
-    LANDMARK_ASSIGN_OR_RETURN(
-        Explanation explanation,
-        RunUnit(model, pair, explainer, std::move(unit)));
-    out.push_back(std::move(explanation));
-  }
-  return out;
+  EngineBatchResult batch =
+      RunGraph(options_, model, {&pair}, explainer, /*pool=*/nullptr,
+               [&](size_t) { return explainer.Plan(model, pair); });
+  return std::move(batch.results.front());
 }
 
-Result<Explanation> ExplainerEngine::RunUnit(const EmModel& model,
-                                             const PairRecord& pair,
-                                             const PairExplainer& explainer,
-                                             ExplainUnit unit) const {
-  {
-    Status valid = ValidateExplainerOptions(explainer.options());
-    if (!valid.ok()) return valid;
-  }
-  LANDMARK_TRACE_SPAN("engine/unit");
-  simd::ScopedSimdEnabled simd_scope(options_.simd);
-  MaskMatrix masks;
-  std::vector<double> kernel_weights;
-  explainer.SampleNeighborhood(unit.dim, unit.rng, &masks, &kernel_weights);
-  std::vector<uint32_t> unique_index;
-  const std::vector<uint32_t> mask_to_unique =
-      DeduplicateMasks(masks, options_.cache_predictions, &unique_index);
-  {
-    const EngineMetrics& m = EngineMetrics::Get();
-    m.units.Add(1);
-    m.masks.Add(masks.rows());
-    m.model_queries.Add(unique_index.size());
-    m.cache_hits.Add(masks.rows() - unique_index.size());
-    m.cache_misses.Add(unique_index.size());
-  }
-
-  std::vector<PairRecord> reconstructed;
-  reconstructed.reserve(unique_index.size());
-  for (uint32_t mask_index : unique_index) {
-    LANDMARK_ASSIGN_OR_RETURN(
-        PairRecord rec,
-        explainer.ReconstructUnit(unit, pair, masks.row(mask_index)));
-    reconstructed.push_back(std::move(rec));
-  }
-  std::vector<double> unique_predictions(reconstructed.size());
-  if (options_.cache_features && !reconstructed.empty()) {
-    TokenCache token_cache;
-    PreparedPairBatch prepared(reconstructed, &token_cache);
-    const LandmarkFeatureContext context = MakeLandmarkFeatureContext(
-        reconstructed.front(), explainer.FrozenSide(unit), token_cache);
-    prepared.PrepareRange(0, reconstructed.size(), context);
-    model.PredictProbaPrepared(prepared, 0, reconstructed.size(),
-                               unique_predictions.data());
-    token_cache.PublishTelemetry();
-  } else {
-    unique_predictions = model.PredictProbaBatch(reconstructed);
-  }
-  std::vector<double> predictions(masks.rows());
-  for (size_t m = 0; m < masks.rows(); ++m) {
-    predictions[m] = unique_predictions[mask_to_unique[m]];
-  }
-
-  LANDMARK_ASSIGN_OR_RETURN(
-      SurrogateFit fit,
-      FitSurrogate(masks, predictions, kernel_weights,
-                   MakeSurrogateOptions(explainer.options())));
-  unit.shell.model_prediction = predictions[0];  // the all-active sample
-  explainer.ApplyFit(fit, &unit);
-  const ExplanationQuality quality =
-      ComputeExplanationQuality(unit.shell, predictions);
-  // Audit first so the quality exemplars can carry the line's ordinal.
-  ExemplarContext exemplar_context;
-  exemplar_context.record_id = pair.id;
-  if (options_.audit_sink != nullptr) {
-    AuditUnitRecord record;
-    record.record_id = pair.id;
-    record.explainer = unit.shell.explainer_name;
-    if (unit.shell.landmark.has_value()) {
-      record.landmark_side = std::string(EntitySideName(*unit.shell.landmark));
-    }
-    record.num_masks = masks.rows();
-    record.num_model_queries = unique_index.size();
-    record.cache_hits = masks.rows() - unique_index.size();
-    FillAuditSuccess(unit.shell, quality, pair.left.schema().get(), &record);
-    exemplar_context.audit_ordinal = options_.audit_sink->WriteUnit(record);
-    exemplar_context.has_audit_ordinal = true;
-  }
-  PublishExplanationQuality(quality, exemplar_context);
-  return std::move(unit.shell);
+Result<Explanation> ExplainerEngine::ExplainPlanned(
+    const EmModel& model, const PairRecord& pair,
+    const PairExplainer& explainer, ExplainUnit unit) const {
+  std::vector<ExplainUnit> units;
+  units.push_back(std::move(unit));
+  EngineBatchResult batch = RunGraph(
+      options_, model, {&pair}, explainer, /*pool=*/nullptr,
+      [&](size_t) -> Result<std::vector<ExplainUnit>> {
+        return std::move(units);
+      });
+  LANDMARK_ASSIGN_OR_RETURN(std::vector<Explanation> explanations,
+                            std::move(batch.results.front()));
+  return std::move(explanations.front());
 }
 
 }  // namespace landmark

@@ -17,12 +17,12 @@ namespace landmark {
 class AuditSink;
 class StallWatchdog;
 
-/// \brief Knobs of the staged explanation pipeline.
+/// \brief Knobs of the explanation pipeline.
 struct EngineOptions {
-  /// Worker threads for the plan / reconstruct / query / fit stages. 1 runs
-  /// everything inline on the calling thread; 0 uses the hardware
-  /// concurrency. The thread count never changes the produced explanations
-  /// (see the determinism contract on ExplainerEngine).
+  /// Worker threads the batch's unit graph runs on. 1 runs everything
+  /// inline on the calling thread; 0 uses the hardware concurrency. The
+  /// thread count never changes the produced explanations (see the
+  /// determinism contract on ExplainerEngine).
   size_t num_threads = 1;
   /// Deduplicate identical perturbation masks within a unit before querying
   /// the model. Small token spaces draw many duplicate masks (a dim-d space
@@ -31,38 +31,6 @@ struct EngineOptions {
   /// records are cheap to explain badly. Never changes results: duplicate
   /// masks reconstruct identical pairs, hence identical predictions.
   bool cache_predictions = true;
-  /// Route the query stage through the prepared fast path: tokenize each
-  /// distinct attribute string once per batch (text/token_cache.h), resolve
-  /// the frozen landmark side once per unit, and score via
-  /// EmModel::PredictProbaPrepared. Never changes results — the prepared
-  /// kernels are bit-identical to the string path (models without a
-  /// prepared override transparently fall back to it). Off is an escape
-  /// hatch for debugging and for the A/B equivalence tests.
-  bool cache_features = true;
-  /// Schedule ExplainBatch as a per-unit dependency DAG on the pool (plan →
-  /// reconstruct → query → fit per unit, no batch-wide stage barriers) via
-  /// util/thread_pool.h's TaskGraph. A record's units flow to the query
-  /// stage as soon as their own reconstructions finish, instead of waiting
-  /// for the slowest record of the whole batch at every stage boundary.
-  /// Never changes results: node bodies write only to pre-assigned slots,
-  /// per-record failure semantics are reproduced exactly by a per-record
-  /// join node, and the quality/audit epilogue stays single-threaded in
-  /// input order — explanations and audit unit lines are bit-identical to
-  /// the staged path across thread counts. Off (`--no-task-graph`) runs the
-  /// legacy barriered stages, kept as the equivalence oracle.
-  bool use_task_graph = true;
-  /// Use the SIMD kernel variants (util/simd.h) on the perturbation hot
-  /// path: bit-parallel Levenshtein, key-compressed token merges, and the
-  /// vectorized linear-algebra kernels behind the surrogate fit. The packed
-  /// mask layout and SoA batch layout are unconditional; this knob only
-  /// selects which kernel implementation runs, and every vectorized kernel
-  /// is bit-identical to its scalar twin (fixed-order reductions, no FMA
-  /// contraction), so results never change. Off (`--no-simd`) forces the
-  /// scalar variants everywhere — the equivalence oracle for the A/B tests,
-  /// mirroring `--no-task-graph`. The switch is applied for the duration of
-  /// each Explain* call via a process-global flag; running two engines with
-  /// different `simd` settings concurrently is unsupported.
-  bool simd = true;
   /// Stall-watchdog threshold in seconds (`--stall-threshold`): when > 0,
   /// the engine runs a monitor that flags any pipeline node (plan /
   /// reconstruct / query / fit, per unit) still running after this long,
@@ -75,28 +43,25 @@ struct EngineOptions {
   double stall_threshold = 0.0;
   /// Optional flight recorder (`--audit-out`): when non-null, the engine
   /// appends one JSON line per ExplainUnit — identity, quality signals,
-  /// per-unit cache counts, top-k token weights — plus a batch trailer.
-  /// Records are written from the batch epilogue in input order, never from
+  /// per-unit cache counts, top-k token weights — plus a trailer per call.
+  /// Records are written from the epilogue in input order, never from
   /// worker threads, so the stream is deterministic and the produced
   /// explanations are bit-identical with the sink attached or not.
   /// Non-owning; must outlive every Explain* call on the engine.
   AuditSink* audit_sink = nullptr;
 };
 
-/// \brief Per-stage counters of one ExplainBatch call.
+/// \brief Per-stage counters of one engine call.
 ///
 /// **CPU-seconds vs wall-clock.** The four per-stage `*_seconds` fields are
-/// *summed CPU-seconds*: each unit of work accumulates the time its own
-/// stage body ran, across all workers. Under a multi-threaded run their sum
-/// therefore exceeds the batch's elapsed time (stages overlap and workers
-/// run concurrently) — they answer "where did the compute go", not "how
-/// long did I wait". `wall_seconds` is the batch's elapsed time and
+/// *summed CPU-seconds*: each graph node accumulates the time its own body
+/// ran, across all workers. Under a multi-threaded run their sum therefore
+/// exceeds the batch's elapsed time (stages overlap and workers run
+/// concurrently) — they answer "where did the compute go", not "how long
+/// did I wait". `wall_seconds` is the batch's elapsed time and
 /// `critical_path_seconds` the longest dependency chain of node durations
 /// (the floor no amount of parallelism can beat); both answer the latency
-/// question. The legacy staged path keeps its historical meaning — each
-/// stage field is that stage's wall time between barriers (identical to the
-/// CPU sum when serial) — which is why the split was invisible before the
-/// task-graph scheduler (docs/architecture.md, "Scheduling").
+/// question (docs/architecture.md, "Scheduling").
 struct EngineStats {
   size_t num_records = 0;         // records submitted
   size_t num_failed_records = 0;  // records whose Result is an error
@@ -105,24 +70,16 @@ struct EngineStats {
   size_t num_model_queries = 0;   // deduplicated pairs actually scored
   size_t cache_hits = 0;          // num_masks - num_model_queries
   size_t token_cache_hits = 0;    // token-profile lookups served from cache
-  size_t token_cache_misses = 0;  // distinct strings tokenized (fast path)
+  size_t token_cache_misses = 0;  // distinct strings tokenized
   double plan_seconds = 0.0;        // summed CPU-seconds (see above)
   double reconstruct_seconds = 0.0; // summed CPU-seconds
   double query_seconds = 0.0;       // summed CPU-seconds
   double fit_seconds = 0.0;         // summed CPU-seconds
-  /// Elapsed wall-clock of the whole batch (pipeline + epilogue).
+  /// Elapsed wall-clock of the whole call (graph + epilogue).
   double wall_seconds = 0.0;
-  /// Longest dependency chain of node durations through the unit DAG
-  /// (task-graph path only; 0 on the staged path).
+  /// Longest dependency chain of node durations through the unit graph.
   double critical_path_seconds = 0.0;
 
-  /// Batch latency: the measured wall-clock when available, else the sum of
-  /// the stage fields (their historical meaning — exact on the serial
-  /// staged path, an overcount under concurrency).
-  double total_seconds() const {
-    if (wall_seconds > 0.0) return wall_seconds;
-    return plan_seconds + reconstruct_seconds + query_seconds + fit_seconds;
-  }
   /// One-line human-readable rendering for logs and CLI reports.
   std::string ToString() const;
 };
@@ -136,33 +93,32 @@ struct EngineBatchResult {
 };
 
 /// \brief The explanation pipeline — the generic explanation system of the
-/// paper's Figure 2, run once for a whole batch of records through four
-/// stages:
+/// paper's Figure 2. Every call runs the same per-unit dependency graph
+/// (util/thread_pool.h's TaskGraph; docs/architecture.md, "Scheduling"):
 ///
-///   plan        per record: token-space construction + RNG stream + mask
-///               and kernel-weight sampling (PairExplainer::Plan)
+///   plan        per record: token-space construction + RNG stream
+///               (PairExplainer::Plan), then per unit: mask and
+///               kernel-weight sampling
 ///   reconstruct per unique mask: materialize the perturbed PairRecord
 ///               (PairExplainer::ReconstructUnit)
-///   query       deduplicated pairs scored against the EM model
-///               (EmModel::PredictProbaPrepared / PredictProbaRange)
+///   query       the unit's deduplicated pairs, tokenized through the
+///               call's TokenCache and scored via
+///               EmModel::PredictProbaPrepared
 ///   fit         per unit: weighted ridge surrogate + coefficient mapping
 ///               (FitSurrogate + PairExplainer::ApplyFit)
 ///
-/// By default the stages are scheduled as a per-unit dependency DAG on the
-/// thread pool (EngineOptions::use_task_graph; docs/architecture.md,
-/// "Scheduling") — no barrier between stages, so a cheap record's units fit
-/// while an expensive record is still reconstructing. With
-/// `use_task_graph = false` the engine runs the legacy staged loops: every
-/// stage is a batch-wide ParallelFor with a barrier after it, and the query
-/// stage is one flat cross-record batch sharded over the pool. Both paths
-/// produce bit-identical output and share the single-threaded epilogue.
+/// There is no barrier between stages, so a cheap record's units fit while
+/// an expensive record is still reconstructing. ExplainBatch drains the
+/// graph on the engine's pool; the one-record calls (ExplainOne,
+/// ExplainPlanned) drain it inline on the calling thread. All of them share
+/// the single-threaded epilogue that assembles results, audit lines and
+/// telemetry in input order.
 ///
 /// **Determinism contract.** Every unit owns an RNG stream derived only from
-/// (options.seed, record id, unit side); work is partitioned statically and
-/// results land in pre-sized slots. Runs with different `num_threads` (and
-/// with the prediction memo or the feature cache on or off) therefore
-/// produce bit-identical explanations, and `ExplainBatch` agrees
-/// bit-for-bit with per-record `PairExplainer::Explain`.
+/// (options.seed, record id, unit side); node bodies write only to
+/// pre-assigned slots. Runs with different `num_threads` (and with the
+/// prediction memo on or off) therefore produce bit-identical explanations,
+/// and `ExplainBatch` agrees bit-for-bit with per-record `ExplainOne`.
 class ExplainerEngine {
  public:
   explicit ExplainerEngine(EngineOptions options = {});
@@ -189,32 +145,25 @@ class ExplainerEngine {
                                  const std::vector<PairRecord>& pairs,
                                  const PairExplainer& explainer) const;
 
-  /// Single-record entry point (what PairExplainer::Explain routes to).
+  /// Single-record entry point (what PairExplainer::Explain routes to): a
+  /// one-record graph drained on the calling thread.
   Result<std::vector<Explanation>> ExplainOne(
       const EmModel& model, const PairRecord& pair,
       const PairExplainer& explainer) const;
 
-  /// Runs one already-planned unit through reconstruct → query → fit (used
-  /// by the side-specific public APIs such as ExplainWithLandmark).
-  Result<Explanation> RunUnit(const EmModel& model, const PairRecord& pair,
-                              const PairExplainer& explainer,
-                              ExplainUnit unit) const;
+  /// Explains one already-planned unit of `pair` as a one-record graph
+  /// seeded with that unit (the side-specific public APIs such as
+  /// ExplainWithLandmark).
+  Result<Explanation> ExplainPlanned(const EmModel& model,
+                                     const PairRecord& pair,
+                                     const PairExplainer& explainer,
+                                     ExplainUnit unit) const;
 
   /// Shared process-wide serial engine (num_threads = 1, memo on) backing
   /// the single-record convenience APIs.
   static const ExplainerEngine& Serial();
 
  private:
-  /// Legacy barriered stage loops (use_task_graph = false) — the
-  /// equivalence oracle for the scheduler.
-  EngineBatchResult ExplainBatchStaged(
-      const EmModel& model, const std::vector<const PairRecord*>& pairs,
-      const PairExplainer& explainer) const;
-  /// Per-unit task-graph scheduler (use_task_graph = true, the default).
-  EngineBatchResult ExplainBatchTaskGraph(
-      const EmModel& model, const std::vector<const PairRecord*>& pairs,
-      const PairExplainer& explainer) const;
-
   EngineOptions options_;
   size_t num_threads_ = 1;
   // The pool is an execution resource, not logical state: ExplainBatch is

@@ -52,7 +52,7 @@ struct ExplainerOptions {
 /// sample every explanation anchors on — undefined).
 Status ValidateExplainerOptions(const ExplainerOptions& options);
 
-/// \brief One unit of explanation work inside the staged pipeline: an
+/// \brief One unit of explanation work inside the engine's graph: an
 /// interpretable space plus the metadata needed to reconstruct perturbed
 /// pairs and map surrogate coefficients back onto token weights.
 ///
@@ -104,7 +104,7 @@ class PairExplainer {
 
   /// Explains `model`'s prediction on `pair`. Landmark explainers return two
   /// explanations (one per landmark side); LIME returns one. The default
-  /// implementation drives the shared staged pipeline serially; use
+  /// implementation is a one-record engine call on the calling thread; use
   /// ExplainerEngine::ExplainBatch to amortize model queries over many
   /// records and threads.
   virtual Result<std::vector<Explanation>> Explain(

@@ -52,8 +52,8 @@ Result<Explanation> LandmarkExplainer::ExplainWithLandmark(
     EntitySide landmark_side) const {
   LANDMARK_ASSIGN_OR_RETURN(ExplainUnit unit,
                             PlanWithLandmark(model, pair, landmark_side));
-  return ExplainerEngine::Serial().RunUnit(model, pair, *this,
-                                           std::move(unit));
+  return ExplainerEngine::Serial().ExplainPlanned(model, pair, *this,
+                                                  std::move(unit));
 }
 
 Result<std::vector<ExplainUnit>> LandmarkExplainer::Plan(

@@ -147,8 +147,8 @@ Result<Explanation> MojitoCopyExplainer::ExplainDirection(
     EntitySide source_side) const {
   LANDMARK_ASSIGN_OR_RETURN(ExplainUnit unit,
                             PlanDirection(pair, source_side));
-  return ExplainerEngine::Serial().RunUnit(model, pair, *this,
-                                           std::move(unit));
+  return ExplainerEngine::Serial().ExplainPlanned(model, pair, *this,
+                                                  std::move(unit));
 }
 
 }  // namespace landmark

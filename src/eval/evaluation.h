@@ -21,7 +21,7 @@ struct ExplainedRecord {
   std::vector<Explanation> explanations;
 };
 
-/// Explains each pair in `indices` through the staged ExplainerEngine.
+/// Explains each pair in `indices` through the ExplainerEngine.
 /// Records whose explanation fails (e.g. all values null after the dirty
 /// transform) are skipped with a warning counter rather than failing the
 /// sweep; `num_skipped` reports how many.

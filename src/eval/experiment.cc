@@ -42,15 +42,6 @@ ExperimentConfig ExperimentConfig::FromFlags(const Flags& flags) {
   if (flags.GetBool("no-predict-cache", false)) {
     config.engine_options.cache_predictions = false;
   }
-  if (flags.GetBool("no-feature-cache", false)) {
-    config.engine_options.cache_features = false;
-  }
-  if (flags.GetBool("no-task-graph", false)) {
-    config.engine_options.use_task_graph = false;
-  }
-  if (flags.GetBool("no-simd", false)) {
-    config.engine_options.simd = false;
-  }
   config.engine_options.stall_threshold =
       flags.GetDouble("stall-threshold", config.engine_options.stall_threshold);
   return config;

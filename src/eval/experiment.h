@@ -26,7 +26,7 @@ struct ExperimentConfig {
   /// Scales the generated dataset sizes (1.0 = the sizes of Table 1).
   double size_scale = 1.0;
   ExplainerOptions explainer_options;
-  /// Staged-pipeline knobs (worker threads, prediction memo). The thread
+  /// Engine knobs (worker threads, prediction memo). The thread
   /// count never changes results — see the ExplainerEngine determinism
   /// contract.
   EngineOptions engine_options;
@@ -40,10 +40,6 @@ struct ExperimentConfig {
   ///   --records N --samples N --scale F --kernel-width F --lambda F
   ///   --threshold F --seed N --datasets S-BR,S-IA
   ///   --threads N (0 = hardware concurrency) --no-predict-cache
-  ///   --no-feature-cache --no-task-graph (legacy barriered stage loops;
-  ///   same results, kept as the scheduler's equivalence oracle)
-  ///   --no-simd (scalar kernel variants; same results, kept as the
-  ///   vectorized kernels' equivalence oracle)
   ///   --stall-threshold SECONDS (flag nodes running longer than this in
   ///   the stall watchdog; 0 = disabled, never changes explanations)
   static ExperimentConfig FromFlags(const Flags& flags);

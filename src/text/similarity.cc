@@ -19,9 +19,9 @@ size_t LevenshteinDistance(std::string_view a, std::string_view b) {
 
   // Myers' bit-parallel algorithm computes the identical distance (it is
   // the same DP, carried in bit deltas) in one word-op column step instead
-  // of an O(m) row — the dominant cost of the edit-distance feature. Gated
-  // by the simd switch only so `--no-simd` keeps a pure scalar oracle.
-  if (simd::Enabled() && m <= 64) {
+  // of an O(m) row — the dominant cost of the edit-distance feature. The
+  // pattern must fit one machine word; longer strings take the DP below.
+  if (m <= 64) {
     return simd::MyersLevenshtein(a, b);
   }
 
@@ -55,9 +55,9 @@ double JaroSimilarity(std::string_view a, std::string_view b) {
 
   // Bit-parallel match counting picks the same greedy matches with one
   // word op per character of `a` (util/simd.h); identical counts feed the
-  // identical formula, so the result is bit-for-bit the scalar one. Gated
-  // by the simd switch only so `--no-simd` keeps a pure scalar oracle.
-  if (simd::Enabled() && la <= 64 && lb <= 64) {
+  // identical formula, so the result is bit-for-bit the scalar one. Both
+  // strings must fit one machine word; longer ones take the scan below.
+  if (la <= 64 && lb <= 64) {
     size_t matches = 0;
     size_t transpositions = 0;
     simd::JaroCounts(a, b, &matches, &transpositions);

@@ -70,7 +70,7 @@ double SortedJaccard(const std::vector<std::string>& a,
 
 /// Whether both profiles can merge on their u64 key columns at all.
 bool KeysUsable(const TokenizedValue& a, const TokenizedValue& b) {
-  return simd::Enabled() && a.token_keys_ordered && b.token_keys_ordered;
+  return a.token_keys_ordered && b.token_keys_ordered;
 }
 
 /// Sorted-key merge over the token SoA columns. Counts the intersection
@@ -291,7 +291,7 @@ double MongeElkanSymmetric(const TokenizedValue& a, const TokenizedValue& b) {
 }
 
 double TrigramSimilarity(const TokenizedValue& a, const TokenizedValue& b) {
-  if (simd::Enabled() && a.trigram_keys_ordered && b.trigram_keys_ordered) {
+  if (a.trigram_keys_ordered && b.trigram_keys_ordered) {
     if (a.trigrams.empty() && b.trigrams.empty()) return 1.0;
     const size_t inter = TrigramKeyIntersection(a, b);
     const size_t uni = a.trigrams.size() + b.trigrams.size() - inter;

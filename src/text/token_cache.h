@@ -111,9 +111,8 @@ double TrigramSimilarity(const TokenizedValue& a, const TokenizedValue& b);
 /// the winner's entry, so no profile is ever computed twice and the hit /
 /// miss totals are scheduling-independent. Returned references are stable
 /// for the cache's lifetime and safe to read lock-free (std::unordered_map
-/// never moves nodes), which is what lets the task-graph scheduler
-/// interleave unit query stages against one shared cache while the staged
-/// path keeps its single-threaded build.
+/// never moves nodes), which is what lets the engine's graph interleave
+/// unit query stages against one shared cache.
 class TokenCache {
  public:
   /// Returns the profile of `text`, computing it on first sight. The

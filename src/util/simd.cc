@@ -1,7 +1,6 @@
 #include "util/simd.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 
 #include "util/check.h"
@@ -21,8 +20,6 @@
 
 namespace landmark::simd {
 namespace {
-
-std::atomic<bool> g_enabled{true};
 
 SimdLevel DetectLevelOnce() {
 #if defined(LANDMARK_SIMD_X86)
@@ -57,6 +54,9 @@ void ExpandBitsScalar(const uint64_t* words, size_t dim, double* out) {
   }
 }
 
+// Only reached on targets with no vector unit at all; x86 and NEON always
+// have a two-lane variant.
+#if !defined(LANDMARK_SIMD_X86) && !defined(LANDMARK_SIMD_NEON)
 void AddScaledScalar(double* y, const double* x, double alpha, size_t n) {
   for (size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
 }
@@ -64,6 +64,7 @@ void AddScaledScalar(double* y, const double* x, double alpha, size_t n) {
 void MultiplyScalar(double* out, const double* a, const double* b, size_t n) {
   for (size_t i = 0; i < n; ++i) out[i] = a[i] * b[i];
 }
+#endif
 
 // ---------------------------------------------------------------------------
 // AVX2 variants (x86). Built as target("avx2") function variants so the
@@ -211,7 +212,7 @@ void MultiplyNeon(double* out, const double* a, const double* b, size_t n) {
 
 bool UseAvx2() {
 #if defined(LANDMARK_SIMD_X86) && defined(__GNUC__)
-  return Enabled() && DetectedLevel() == SimdLevel::kAvx2;
+  return DetectedLevel() == SimdLevel::kAvx2;
 #else
   return false;
 #endif
@@ -238,22 +239,7 @@ const char* SimdLevelName(SimdLevel level) {
   return "scalar";
 }
 
-const char* ActiveIsaName() {
-  return Enabled() ? SimdLevelName(DetectedLevel())
-                   : SimdLevelName(SimdLevel::kScalar);
-}
-
-bool Enabled() { return g_enabled.load(std::memory_order_relaxed); }
-
-void SetEnabled(bool enabled) {
-  g_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-ScopedSimdEnabled::ScopedSimdEnabled(bool enabled) : previous_(Enabled()) {
-  SetEnabled(enabled);
-}
-
-ScopedSimdEnabled::~ScopedSimdEnabled() { SetEnabled(previous_); }
+const char* ActiveIsaName() { return SimdLevelName(DetectedLevel()); }
 
 uint64_t PopcountWords(const uint64_t* words, size_t n) {
   // __builtin_popcountll lowers to POPCNT/CNT where available; a vector
@@ -391,10 +377,6 @@ void ExpandBitsToDoubles(const uint64_t* words, size_t dim, double* out) {
 }
 
 void AddScaled(double* y, const double* x, double alpha, size_t n) {
-  if (!Enabled()) {
-    AddScaledScalar(y, x, alpha, n);
-    return;
-  }
 #if defined(LANDMARK_SIMD_X86) && defined(__GNUC__)
   if (UseAvx2()) {
     AddScaledAvx2(y, x, alpha, n);
@@ -411,10 +393,6 @@ void AddScaled(double* y, const double* x, double alpha, size_t n) {
 }
 
 void Multiply(double* out, const double* a, const double* b, size_t n) {
-  if (!Enabled()) {
-    MultiplyScalar(out, a, b, n);
-    return;
-  }
 #if defined(LANDMARK_SIMD_X86)
 #if defined(__GNUC__)
   if (UseAvx2()) {

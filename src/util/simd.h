@@ -27,10 +27,11 @@
 ///     reductions (dot products) are deliberately *not* offered: any lane
 ///     split would reassociate the sum.
 ///
-/// Because results never differ, `Enabled()` is purely a performance /
-/// oracle switch: `EngineOptions::simd` (CLI `--no-simd`) scopes it off so
-/// the scalar path can serve as the equivalence oracle, the same pattern as
-/// `--no-task-graph`.
+/// Kernel choice is runtime ISA dispatch plus fixed length limits (the
+/// string kernels take patterns of at most 64 characters; callers fall back
+/// to their scalar loops beyond that). There is no process-wide switch: the
+/// scalar references live in tests/util/simd_test.cc, which pins every
+/// kernel against them.
 namespace landmark::simd {
 
 /// Instruction set detected on the running CPU (cached after first call).
@@ -42,31 +43,9 @@ SimdLevel DetectedLevel();
 /// Short lowercase name for a level ("scalar", "sse2", "avx2", "neon").
 const char* SimdLevelName(SimdLevel level);
 
-/// Name of the ISA the kernels will actually use right now: the detected
-/// level when vector paths are enabled, "scalar" otherwise. This is the
-/// string recorded in bench output so bench_diff.py only compares like
-/// hardware.
+/// Name of the ISA the kernels dispatch to (the detected level). Benchmark
+/// manifests record it so only runs on like hardware are compared.
 const char* ActiveIsaName();
-
-/// Process-global switch for the vector paths (default on). Read with a
-/// relaxed atomic load at each kernel entry; because every path is
-/// bit-identical the flag only ever changes speed, never results, so a
-/// concurrent toggle mid-batch is benign.
-bool Enabled();
-void SetEnabled(bool enabled);
-
-/// RAII save/set/restore of the global switch. The engine applies one per
-/// batch from `EngineOptions::simd`.
-class ScopedSimdEnabled {
- public:
-  explicit ScopedSimdEnabled(bool enabled);
-  ~ScopedSimdEnabled();
-  ScopedSimdEnabled(const ScopedSimdEnabled&) = delete;
-  ScopedSimdEnabled& operator=(const ScopedSimdEnabled&) = delete;
-
- private:
-  bool previous_;
-};
 
 // ---------------------------------------------------------------------------
 // Integer kernels (exact on every path).

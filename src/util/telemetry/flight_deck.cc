@@ -173,10 +173,9 @@ std::vector<std::shared_ptr<ThreadActivity>> ActivityRegistry::Slots() const {
 // BatchProgress / FlightDeck
 
 BatchProgress::BatchProgress(uint64_t id, size_t num_records,
-                             const char* scheduler, double stall_threshold)
+                             double stall_threshold)
     : id_(id),
       num_records_(num_records),
-      scheduler_(scheduler),
       stall_threshold_(stall_threshold),
       start_ns_(FlightDeckNowNs()) {}
 
@@ -227,10 +226,10 @@ FlightDeck& FlightDeck::Global() {
 }
 
 std::shared_ptr<BatchProgress> FlightDeck::RegisterBatch(
-    size_t num_records, const char* scheduler, double stall_threshold) {
+    size_t num_records, double stall_threshold) {
   MutexLock lock(&mu_);
-  auto progress = std::make_shared<BatchProgress>(
-      ++next_id_, num_records, scheduler, stall_threshold);
+  auto progress =
+      std::make_shared<BatchProgress>(++next_id_, num_records, stall_threshold);
   batches_.push_back(progress);
   return progress;
 }
@@ -259,9 +258,8 @@ std::vector<std::shared_ptr<BatchProgress>> FlightDeck::InFlightBatches()
 }
 
 BatchProgressScope::BatchProgressScope(size_t num_records,
-                                       const char* scheduler,
                                        double stall_threshold)
-    : progress_(FlightDeck::Global().RegisterBatch(num_records, scheduler,
+    : progress_(FlightDeck::Global().RegisterBatch(num_records,
                                                    stall_threshold)) {}
 
 BatchProgressScope::~BatchProgressScope() {
@@ -504,8 +502,7 @@ std::string FlightDeckStatusText() {
   auto batches = FlightDeck::Global().InFlightBatches();
   out += "in-flight batches: " + std::to_string(batches.size()) + "\n";
   for (const auto& batch : batches) {
-    out += "batch " + std::to_string(batch->id()) + ": scheduler=" +
-           batch->scheduler() + " records=" +
+    out += "batch " + std::to_string(batch->id()) + ": records=" +
            std::to_string(batch->num_records()) + " age=" +
            FormatSeconds(SecondsSince(batch->start_ns(), now)) +
            "s stall_threshold=" + FormatSeconds(batch->stall_threshold()) +
@@ -572,7 +569,6 @@ std::string FlightDeckStatusJson() {
     if (!first_batch) out += ",";
     first_batch = false;
     out += "{\"id\":" + std::to_string(batch->id());
-    out += ",\"scheduler\":\"" + JsonEscape(batch->scheduler()) + "\"";
     out += ",\"num_records\":" + std::to_string(batch->num_records());
     out += ",\"age_seconds\":" +
            JsonDouble(SecondsSince(batch->start_ns(), now));

@@ -63,8 +63,8 @@ void SetFlightDeckClockForTest(uint64_t (*clock)());
 /// snapshots (pushes still balance pops). Engine nesting is 3-4 deep.
 inline constexpr size_t kMaxActivityDepth = 8;
 
-/// Sentinel record/unit index for node tags that cover a whole stage chunk
-/// rather than one unit (the staged query stage).
+/// Sentinel record/unit index for node tags that cover no single unit (a
+/// record's plan node).
 inline constexpr uint32_t kActivityNoIndex = 0xffffffffu;
 
 /// \brief One thread's live annotation slot. The owning thread writes
@@ -228,13 +228,10 @@ struct StallReport {
 /// cache through guarded pointers it clears before they die.
 class BatchProgress {
  public:
-  BatchProgress(uint64_t id, size_t num_records, const char* scheduler,
-                double stall_threshold);
+  BatchProgress(uint64_t id, size_t num_records, double stall_threshold);
 
   uint64_t id() const { return id_; }
   size_t num_records() const { return num_records_; }
-  /// "task-graph" or "staged".
-  const char* scheduler() const { return scheduler_; }
   double stall_threshold() const { return stall_threshold_; }
   uint64_t start_ns() const { return start_ns_; }
 
@@ -262,7 +259,6 @@ class BatchProgress {
  private:
   const uint64_t id_;
   const size_t num_records_;
-  const char* const scheduler_;
   const double stall_threshold_;
   const uint64_t start_ns_;
 
@@ -283,7 +279,6 @@ class FlightDeck {
   static FlightDeck& Global();
 
   std::shared_ptr<BatchProgress> RegisterBatch(size_t num_records,
-                                               const char* scheduler,
                                                double stall_threshold);
   void UnregisterBatch(uint64_t id);
   /// The in-flight batch with that id, or nullptr (e.g. it just finished).
@@ -306,8 +301,7 @@ class FlightDeck {
 /// first.
 class BatchProgressScope {
  public:
-  BatchProgressScope(size_t num_records, const char* scheduler,
-                     double stall_threshold);
+  BatchProgressScope(size_t num_records, double stall_threshold);
   ~BatchProgressScope();
 
   BatchProgressScope(const BatchProgressScope&) = delete;
@@ -317,25 +311,6 @@ class BatchProgressScope {
 
  private:
   std::shared_ptr<BatchProgress> progress_;
-};
-
-/// \brief RAII token-cache probe attachment, for caches whose scope is
-/// narrower than the batch's (the staged query stage builds its TokenCache
-/// in a block): attaches on construction, detaches on destruction.
-class TokenCacheProbeScope {
- public:
-  TokenCacheProbeScope(BatchProgress& progress,
-                       std::function<std::vector<size_t>()> probe)
-      : progress_(progress) {
-    progress_.SetTokenCacheProbe(std::move(probe));
-  }
-  ~TokenCacheProbeScope() { progress_.SetTokenCacheProbe(nullptr); }
-
-  TokenCacheProbeScope(const TokenCacheProbeScope&) = delete;
-  TokenCacheProbeScope& operator=(const TokenCacheProbeScope&) = delete;
-
- private:
-  BatchProgress& progress_;
 };
 
 /// \brief Background sampler aggregating activity-stack snapshots into

@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -25,6 +26,9 @@
 namespace landmark {
 
 namespace {
+
+/// Receive/send deadline of every accepted connection, seconds.
+constexpr int kClientIoTimeoutSeconds = 2;
 
 /// Prometheus sample rendering: the exposition format *does* have
 /// NaN/±Inf literals, unlike JSON, so no clamping here.
@@ -335,6 +339,10 @@ void HttpExporter::Stop() {
     MutexLock lock(&mu_);
     if (stopped_) return;
     stopped_ = true;
+    // Unblocks a read()/write() on a connection that is still in flight;
+    // Serve() clears client_fd_ under mu_ before closing it, so the fd is
+    // still open here.
+    if (client_fd_ >= 0) ::shutdown(client_fd_, SHUT_RDWR);
   }
   // Unblocks the accept() in Serve(); the loop then observes stopped_.
   ::shutdown(listen_fd_, SHUT_RDWR);
@@ -350,17 +358,24 @@ void HttpExporter::Serve() {
     // serving thread must never carry a lock into this loop iteration.
     LANDMARK_BLOCKING_POINT("HttpExporter::Serve/socket-io");
     const int client = ::accept(listen_fd_, nullptr, nullptr);
-    {
-      MutexLock lock(&mu_);
-      if (stopped_) {
-        if (client >= 0) ::close(client);
-        return;
-      }
-    }
     if (client < 0) {
       if (errno == EINTR) continue;
       return;  // listen socket gone
     }
+    {
+      MutexLock lock(&mu_);
+      if (stopped_) {
+        ::close(client);
+        return;
+      }
+      client_fd_ = client;
+    }
+    // A silent or stalled peer costs at most this long per read/write.
+    const timeval deadline{kClientIoTimeoutSeconds, 0};
+    ::setsockopt(client, SOL_SOCKET, SO_RCVTIMEO, &deadline,
+                 sizeof(deadline));
+    ::setsockopt(client, SOL_SOCKET, SO_SNDTIMEO, &deadline,
+                 sizeof(deadline));
     // Read until the end of the header block (requests have no body).
     std::string request;
     char buf[1024];
@@ -405,10 +420,16 @@ void HttpExporter::Serve() {
     const std::string response = HandleRequest(method, path, accept);
     size_t sent = 0;
     while (sent < response.size()) {
-      const ssize_t n =
-          ::write(client, response.data() + sent, response.size() - sent);
+      // MSG_NOSIGNAL: a peer that hung up (or a connection Stop() shut
+      // down) must fail the send, not raise SIGPIPE in the host process.
+      const ssize_t n = ::send(client, response.data() + sent,
+                               response.size() - sent, MSG_NOSIGNAL);
       if (n <= 0) break;
       sent += static_cast<size_t>(n);
+    }
+    {
+      MutexLock lock(&mu_);
+      client_fd_ = -1;
     }
     ::close(client);
   }

@@ -76,7 +76,11 @@ struct HttpExporterOptions {
 /// Every response carries an explicit Content-Type. The server binds
 /// 127.0.0.1 only and answers one blocking request at a time — it is an
 /// operational peephole for a long batch, not a serving stack; note a
-/// /profilez window blocks that single accept loop for its duration. It
+/// /profilez window blocks that single accept loop for its duration. Each
+/// accepted connection gets a fixed 2 s receive/send deadline, so a client
+/// that connects and goes silent delays other scrapes by at most that long
+/// instead of wedging the loop, and Stop() shuts down an in-flight
+/// connection instead of waiting on its peer. It
 /// runs on a dedicated thread rather than the ThreadPool because the
 /// accept loop blocks indefinitely between scrapes; parking it on a pool
 /// worker would steal a determinism-contract thread from the engine for
@@ -93,7 +97,8 @@ class HttpExporter {
   HttpExporter& operator=(const HttpExporter&) = delete;
   ~HttpExporter();
 
-  /// Unblocks the accept loop and joins the serving thread (idempotent).
+  /// Unblocks the accept loop (and any in-flight connection) and joins the
+  /// serving thread (idempotent).
   void Stop();
 
   /// The bound port (the resolved one when options asked for 0).
@@ -114,10 +119,13 @@ class HttpExporter {
   uint16_t port_ = 0;
   /// Start time of the server (trace clock), for /statusz uptime.
   uint64_t started_ns_ = 0;
-  // Leaf lock: guards only the stop flag — never held across socket I/O
-  // (the accept/read/write sites are registered blocking points).
+  // Leaf lock: guards only the stop flag and the in-flight connection's fd
+  // — never held across socket I/O (the accept/read/write sites are
+  // registered blocking points).
   Mutex mu_{"HttpExporter::mu_"};
   bool stopped_ GUARDED_BY(mu_) = false;
+  /// The connection Serve() is answering, or -1; Stop() shuts it down.
+  int client_fd_ GUARDED_BY(mu_) = -1;
   std::thread server_;  // landmark-lint: allow(raw-thread) dedicated blocking accept loop, never computes explanations
 };
 

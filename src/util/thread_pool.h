@@ -23,8 +23,7 @@ namespace landmark {
 ///  - **ParallelFor** — static contiguous partitioning. Each chunk of the
 ///    index range is processed exactly once and the caller writes results
 ///    into pre-sized slots, so the output of a parallel stage is independent
-///    of thread scheduling. The staged (`--no-task-graph`) pipeline runs on
-///    this alone.
+///    of thread scheduling.
 ///  - **TaskGraph** (below) — per-unit dependency DAGs. Completing a node
 ///    enqueues its ready successors onto the completing worker's own deque
 ///    (LIFO, cache-warm); idle workers steal from the front of other

@@ -133,7 +133,6 @@ TEST(EngineFlightDeckTest, ConcurrentScrapeDuringInFlightBatch) {
 
   EngineOptions options;
   options.num_threads = 4;
-  options.use_task_graph = true;
 
   auto exporter = HttpExporter::Start({});
   ASSERT_TRUE(exporter.ok()) << exporter.status().ToString();
@@ -165,7 +164,7 @@ TEST(EngineFlightDeckTest, ConcurrentScrapeDuringInFlightBatch) {
     EXPECT_EQ(status, 200);
     EXPECT_NE(text->find("engine/batches"), std::string::npos);
     EXPECT_NE(text->find("-- flight deck --"), std::string::npos);
-    EXPECT_NE(text->find("scheduler=task-graph records=4"),
+    EXPECT_NE(text->find(": records=4 "),
               std::string::npos)
         << *text;
 

@@ -1,177 +1,86 @@
-// A/B equivalence suite for the per-unit task-graph scheduler: ExplainBatch
-// with EngineOptions::use_task_graph (the default) must be bit-identical to
-// the legacy staged path (--no-task-graph) for every bundled model type,
-// across thread counts and with the prediction memo on or off — and the
-// audit unit stream must be byte-identical between the two schedulers
-// (docs/architecture.md, "Scheduling").
+// Invariants of the engine's one executor, the per-unit task graph
+// (docs/architecture.md, "Scheduling"), for every bundled model type and
+// explainer:
+//   - explanations and work counters are bit-identical across thread
+//     counts {1, 4, 8}, with the prediction memo on or off;
+//   - ExplainBatch agrees with per-record ExplainOne, and the side APIs
+//     (ExplainWithLandmark, ExplainDirection) with the matching batch unit;
+//   - the audit unit lines are byte-identical across thread counts;
+//   - a failing record fails alone, with the same status at every thread
+//     count and on the one-record path.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <fstream>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "core/engine/explainer_engine.h"
-#include "core/landmark_explainer.h"
-#include "core/lime_explainer.h"
-#include "core/mojito_copy_explainer.h"
-#include "datagen/magellan.h"
-#include "em/embedding_em_model.h"
-#include "em/forest_em_model.h"
-#include "em/heuristic_model.h"
-#include "em/logreg_em_model.h"
-#include "em/rule_em_model.h"
+#include "engine_test_util.h"
 #include "util/telemetry/audit.h"
 
 namespace landmark {
 namespace {
 
-/// One realistic generated dataset shared by every model (training real
-/// models needs more rows than a hand-rolled fixture provides).
-const EmDataset& TestDataset() {
-  static const EmDataset* dataset = [] {
-    MagellanGenOptions gen;
-    gen.size_scale = 0.25;
-    return new EmDataset(
-        *GenerateMagellanDataset(*FindMagellanSpec("S-AG"), gen));
-  }();
-  return *dataset;
-}
-
-/// Trained once per model type, shared across all parameter combinations.
-const EmModel& TestModel(const std::string& kind) {
-  static auto* models = new std::map<std::string, std::unique_ptr<EmModel>>();
-  auto it = models->find(kind);
-  if (it != models->end()) return *it->second;
-  std::unique_ptr<EmModel> model;
-  if (kind == "jaccard-em") {
-    model = std::make_unique<JaccardEmModel>();
-  } else if (kind == "logreg-em") {
-    model = std::move(LogRegEmModel::Train(TestDataset())).ValueOrDie();
-  } else if (kind == "forest-em") {
-    model = std::move(ForestEmModel::Train(TestDataset())).ValueOrDie();
-  } else if (kind == "rule-em") {
-    model = std::move(RuleEmModel::Train(TestDataset())).ValueOrDie();
-  } else {
-    EmbeddingEmModelOptions options;
-    options.mlp.hidden = {16};
-    options.mlp.epochs = 3;  // equivalence needs a scorer, not a good one
-    model = std::move(EmbeddingEmModel::Train(TestDataset(), options))
-                .ValueOrDie();
-  }
-  return *models->emplace(kind, std::move(model)).first->second;
-}
-
-std::unique_ptr<PairExplainer> MakeExplainer(const std::string& kind,
-                                             const ExplainerOptions& options) {
-  if (kind == "landmark-single") {
-    return std::make_unique<LandmarkExplainer>(GenerationStrategy::kSingle,
-                                               options);
-  }
-  if (kind == "landmark-double") {
-    return std::make_unique<LandmarkExplainer>(GenerationStrategy::kDouble,
-                                               options);
-  }
-  if (kind == "lime") return std::make_unique<LimeExplainer>(options);
-  return std::make_unique<MojitoCopyExplainer>(options);
-}
-
-/// Bit-identical comparison — the contract is exact equality of every
-/// double, not approximate agreement.
-void ExpectIdenticalResults(const EngineBatchResult& a,
-                            const EngineBatchResult& b,
-                            const std::string& label) {
-  ASSERT_EQ(a.results.size(), b.results.size()) << label;
-  for (size_t i = 0; i < a.results.size(); ++i) {
-    ASSERT_EQ(a.results[i].ok(), b.results[i].ok())
-        << label << " record " << i;
-    if (!a.results[i].ok()) {
-      EXPECT_EQ(a.results[i].status().code(), b.results[i].status().code())
-          << label << " record " << i;
-      continue;
-    }
-    const std::vector<Explanation>& ea = *a.results[i];
-    const std::vector<Explanation>& eb = *b.results[i];
-    ASSERT_EQ(ea.size(), eb.size()) << label << " record " << i;
-    for (size_t e = 0; e < ea.size(); ++e) {
-      EXPECT_EQ(ea[e].explainer_name, eb[e].explainer_name);
-      EXPECT_EQ(ea[e].landmark, eb[e].landmark);
-      EXPECT_EQ(ea[e].model_prediction, eb[e].model_prediction)
-          << label << " record " << i << " explanation " << e;
-      EXPECT_EQ(ea[e].surrogate_intercept, eb[e].surrogate_intercept)
-          << label << " record " << i << " explanation " << e;
-      EXPECT_EQ(ea[e].surrogate_r2, eb[e].surrogate_r2)
-          << label << " record " << i << " explanation " << e;
-      ASSERT_EQ(ea[e].token_weights.size(), eb[e].token_weights.size());
-      for (size_t t = 0; t < ea[e].token_weights.size(); ++t) {
-        EXPECT_EQ(ea[e].token_weights[t].weight, eb[e].token_weights[t].weight)
-            << label << " record " << i << " explanation " << e << " token "
-            << t;
-      }
-    }
-  }
-}
-
-/// The work-accounting counters must also agree — the scheduler may not do
-/// more (or fewer) model queries, mask samples, or token lookups than the
-/// staged path it replaces.
-void ExpectIdenticalCounters(const EngineStats& a, const EngineStats& b,
-                             const std::string& label) {
-  EXPECT_EQ(a.num_records, b.num_records) << label;
-  EXPECT_EQ(a.num_failed_records, b.num_failed_records) << label;
-  EXPECT_EQ(a.num_units, b.num_units) << label;
-  EXPECT_EQ(a.num_masks, b.num_masks) << label;
-  EXPECT_EQ(a.num_model_queries, b.num_model_queries) << label;
-  EXPECT_EQ(a.cache_hits, b.cache_hits) << label;
-  EXPECT_EQ(a.token_cache_hits, b.token_cache_hits) << label;
-  EXPECT_EQ(a.token_cache_misses, b.token_cache_misses) << label;
-}
+using engine_test::AuditUnitLines;
+using engine_test::ExpectIdenticalCounters;
+using engine_test::ExpectIdenticalExplanations;
+using engine_test::ExpectIdenticalRecord;
+using engine_test::ExpectIdenticalResults;
+using engine_test::ExplainerKinds;
+using engine_test::MakeExplainer;
+using engine_test::ModelParamName;
+using engine_test::TestModel;
+using engine_test::TestPairs;
 
 class EngineSchedulerTest : public ::testing::TestWithParam<const char*> {};
 
-TEST_P(EngineSchedulerTest, TaskGraphBitIdenticalToStagedPath) {
+TEST_P(EngineSchedulerTest, BitIdenticalAnyRun) {
   const EmModel& model = TestModel(GetParam());
-  const EmDataset& dataset = TestDataset();
-  std::vector<const PairRecord*> pairs;
-  for (size_t i = 0; i < 3 && i < dataset.size(); ++i) {
-    pairs.push_back(&dataset.pair(i));
-  }
+  const std::vector<const PairRecord*> pairs = TestPairs(3);
   ExplainerOptions explainer_options;
   explainer_options.num_samples = 64;
 
-  for (const char* explainer_kind :
-       {"landmark-single", "landmark-double", "lime", "mojito-copy"}) {
+  for (const char* explainer_kind : ExplainerKinds()) {
     std::unique_ptr<PairExplainer> explainer =
         MakeExplainer(explainer_kind, explainer_options);
-    for (size_t threads : {size_t{1}, size_t{4}, size_t{8}}) {
-      for (bool memo : {true, false}) {
-        EngineOptions graph_options;
-        graph_options.num_threads = threads;
-        graph_options.cache_predictions = memo;
-        graph_options.use_task_graph = true;
-        EngineOptions staged_options = graph_options;
-        staged_options.use_task_graph = false;
-
-        const std::string label = std::string(GetParam()) + "/" +
-                                  explainer_kind + "/threads=" +
-                                  std::to_string(threads) +
-                                  (memo ? "/memo" : "/nomemo");
-        EngineBatchResult graph =
-            ExplainerEngine(graph_options).ExplainBatch(model, pairs,
-                                                        *explainer);
-        EngineBatchResult staged =
-            ExplainerEngine(staged_options).ExplainBatch(model, pairs,
-                                                         *explainer);
-        ExpectIdenticalResults(graph, staged, label);
-        ExpectIdenticalCounters(graph.stats, staged.stats, label);
-        // The scheduler reports its latency split; the staged path never
-        // fills the critical-path field.
-        EXPECT_GT(graph.stats.wall_seconds, 0.0) << label;
-        EXPECT_GT(graph.stats.critical_path_seconds, 0.0) << label;
-        EXPECT_EQ(staged.stats.critical_path_seconds, 0.0) << label;
+    const std::string kind_label =
+        std::string(GetParam()) + "/" + explainer_kind;
+    const EngineBatchResult reference =
+        ExplainerEngine().ExplainBatch(model, pairs, *explainer);
+    ASSERT_EQ(reference.stats.num_failed_records, 0u) << kind_label;
+    for (bool memo : {true, false}) {
+      EngineOptions options;
+      options.cache_predictions = memo;
+      const std::string memo_label = kind_label + (memo ? "/memo" : "/nomemo");
+      const EngineBatchResult serial =
+          ExplainerEngine(options).ExplainBatch(model, pairs, *explainer);
+      // The memo only saves queries; the explanations never change.
+      ExpectIdenticalResults(serial, reference, memo_label);
+      if (!memo) {
+        EXPECT_EQ(serial.stats.num_model_queries, serial.stats.num_masks)
+            << memo_label;
+        EXPECT_EQ(serial.stats.cache_hits, 0u) << memo_label;
+      }
+      for (size_t threads : {size_t{4}, size_t{8}}) {
+        options.num_threads = threads;
+        const std::string label =
+            memo_label + "/threads=" + std::to_string(threads);
+        const EngineBatchResult parallel =
+            ExplainerEngine(options).ExplainBatch(model, pairs, *explainer);
+        ExpectIdenticalResults(parallel, serial, label);
+        ExpectIdenticalCounters(parallel.stats, serial.stats, label);
+        EXPECT_GT(parallel.stats.wall_seconds, 0.0) << label;
+        EXPECT_GT(parallel.stats.critical_path_seconds, 0.0) << label;
+      }
+      // Batch = per-record: a one-record call reproduces its batch record.
+      options.num_threads = 4;
+      const ExplainerEngine engine(options);
+      for (size_t i = 0; i < pairs.size(); ++i) {
+        ExpectIdenticalRecord(engine.ExplainOne(model, *pairs[i], *explainer),
+                              serial.results[i],
+                              memo_label + "/ExplainOne record " +
+                                  std::to_string(i));
       }
     }
   }
@@ -181,79 +90,97 @@ INSTANTIATE_TEST_SUITE_P(AllBundledModels, EngineSchedulerTest,
                          ::testing::Values("jaccard-em", "logreg-em",
                                            "forest-em", "rule-em",
                                            "embedding-em"),
-                         [](const auto& info) {
-                           std::string name = info.param;
-                           for (char& c : name) {
-                             if (c == '-') c = '_';
-                           }
-                           return name;
-                         });
+                         ModelParamName);
 
-std::vector<std::string> ReadLines(const std::string& path) {
-  std::ifstream in(path);
-  EXPECT_TRUE(in.is_open()) << path;
-  std::vector<std::string> lines;
-  for (std::string line; std::getline(in, line);) lines.push_back(line);
-  return lines;
-}
-
-/// The unit lines only — the batch trailer carries wall-clock stage
-/// latencies, which legitimately differ between runs.
-std::vector<std::string> UnitLines(const std::vector<std::string>& lines) {
-  std::vector<std::string> units;
-  for (const std::string& line : lines) {
-    if (line.rfind("{\"type\":\"unit\"", 0) == 0) units.push_back(line);
-  }
-  return units;
-}
-
-TEST(EngineSchedulerAuditTest, AuditUnitStreamByteIdenticalToStagedPath) {
+TEST(EngineOneRecordTest, SideApisMatchBatchUnits) {
+  // ExplainWithLandmark and ExplainDirection run one pre-planned unit; each
+  // must equal the unit of the same side in a batch explanation.
   const EmModel& model = TestModel("logreg-em");
-  const EmDataset& dataset = TestDataset();
-  std::vector<const PairRecord*> pairs;
-  for (size_t i = 0; i < 4 && i < dataset.size(); ++i) {
-    pairs.push_back(&dataset.pair(i));
+  const std::vector<const PairRecord*> pairs = TestPairs(3);
+  ExplainerOptions options;
+  options.num_samples = 64;
+  const LandmarkExplainer single(GenerationStrategy::kSingle, options);
+  const LandmarkExplainer dbl(GenerationStrategy::kDouble, options);
+  const MojitoCopyExplainer copy(options);
+  EngineOptions engine_options;
+  engine_options.num_threads = 4;
+  const ExplainerEngine engine(engine_options);
+
+  for (const LandmarkExplainer* explainer : {&single, &dbl}) {
+    const EngineBatchResult batch =
+        engine.ExplainBatch(model, pairs, *explainer);
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      ASSERT_TRUE(batch.results[i].ok());
+      ASSERT_EQ(batch.results[i]->size(), 2u);
+      for (size_t u = 0; u < 2; ++u) {
+        const EntitySide side = u == 0 ? EntitySide::kLeft : EntitySide::kRight;
+        auto one = explainer->ExplainWithLandmark(model, *pairs[i], side);
+        ASSERT_TRUE(one.ok()) << one.status().ToString();
+        ExpectIdenticalExplanations(
+            {*one}, {(*batch.results[i])[u]},
+            explainer->name() + " record " + std::to_string(i) + " unit " +
+                std::to_string(u));
+      }
+    }
   }
+
+  const EngineBatchResult batch = engine.ExplainBatch(model, pairs, copy);
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    ASSERT_TRUE(batch.results[i].ok());
+    for (const Explanation& unit : *batch.results[i]) {
+      // A copy unit's landmark is its source side.
+      ASSERT_TRUE(unit.landmark.has_value());
+      auto one = copy.ExplainDirection(model, *pairs[i], *unit.landmark);
+      ASSERT_TRUE(one.ok()) << one.status().ToString();
+      ExpectIdenticalExplanations({*one}, {unit},
+                                  "mojito-copy record " + std::to_string(i));
+    }
+  }
+}
+
+TEST(EngineSchedulerAuditTest, AuditUnitStreamByteIdenticalAcrossThreadCounts) {
+  const EmModel& model = TestModel("logreg-em");
+  const std::vector<const PairRecord*> pairs = TestPairs(4);
   ExplainerOptions explainer_options;
   explainer_options.num_samples = 64;
   LandmarkExplainer explainer(GenerationStrategy::kDouble, explainer_options);
 
-  auto run = [&](bool use_task_graph, size_t threads,
-                 const std::string& path) {
+  auto run = [&](size_t threads) {
+    const std::string path = ::testing::TempDir() + "/scheduler_audit_" +
+                             std::to_string(threads) + ".jsonl";
+    size_t num_units = 0;
     {
       auto sink = AuditSink::Open(path);
       EXPECT_TRUE(sink.ok()) << path;
       EngineOptions options;
       options.num_threads = threads;
-      options.use_task_graph = use_task_graph;
       options.audit_sink = sink->get();
-      ExplainerEngine(options).ExplainBatch(model, pairs, explainer);
+      num_units = ExplainerEngine(options)
+                      .ExplainBatch(model, pairs, explainer)
+                      .stats.num_units;
     }
-    return UnitLines(ReadLines(path));
+    std::vector<std::string> units = AuditUnitLines(path);
+    EXPECT_EQ(units.size(), num_units) << "threads=" << threads;
+    std::remove(path.c_str());
+    return units;
   };
 
-  const std::string dir = ::testing::TempDir();
-  const std::vector<std::string> staged =
-      run(false, 1, dir + "/scheduler_audit_staged.jsonl");
-  ASSERT_FALSE(staged.empty());
-  for (size_t threads : {size_t{1}, size_t{4}, size_t{8}}) {
-    const std::string path = dir + "/scheduler_audit_graph_" +
-                             std::to_string(threads) + ".jsonl";
-    const std::vector<std::string> graph = run(true, threads, path);
-    ASSERT_EQ(graph.size(), staged.size()) << "threads=" << threads;
-    for (size_t i = 0; i < staged.size(); ++i) {
-      EXPECT_EQ(graph[i], staged[i]) << "threads=" << threads << " line " << i;
+  const std::vector<std::string> serial = run(1);
+  ASSERT_FALSE(serial.empty());
+  for (size_t threads : {size_t{4}, size_t{8}}) {
+    const std::vector<std::string> parallel = run(threads);
+    ASSERT_EQ(parallel.size(), serial.size()) << "threads=" << threads;
+    for (size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_EQ(parallel[i], serial[i]) << "threads=" << threads << " line "
+                                        << i;
     }
-    std::remove(path.c_str());
   }
-  std::remove((dir + "/scheduler_audit_staged.jsonl").c_str());
 }
 
-TEST(EngineSchedulerFailureTest, FailedRecordsMatchStagedPath) {
+TEST(EngineSchedulerFailureTest, FailedRecordsIdenticalAcrossThreadCounts) {
   // A mixed batch — explainable records around one with no tokens at all —
-  // must fail the same record with the same status under both schedulers,
-  // at every thread count (the per-record join node reproduces the staged
-  // barrier's failure semantics).
+  // must fail that record alone, with the same status and the same work
+  // counters at every thread count, and ExplainOne must fail it too.
   auto schema = *Schema::Make({"name", "price"});
   EmDataset dataset("scheduler-mixed", schema);
   auto add = [&](const std::string& l0, const std::string& r0) {
@@ -280,23 +207,26 @@ TEST(EngineSchedulerFailureTest, FailedRecordsMatchStagedPath) {
   explainer_options.num_samples = 64;
   LandmarkExplainer explainer(GenerationStrategy::kDouble, explainer_options);
 
-  for (size_t threads : {size_t{1}, size_t{4}, size_t{8}}) {
-    EngineOptions graph_options;
-    graph_options.num_threads = threads;
-    EngineOptions staged_options = graph_options;
-    staged_options.use_task_graph = false;
-    EngineBatchResult graph =
-        ExplainerEngine(graph_options).ExplainBatch(model, pairs, explainer);
-    EngineBatchResult staged =
-        ExplainerEngine(staged_options).ExplainBatch(model, pairs, explainer);
+  const EngineBatchResult serial =
+      ExplainerEngine().ExplainBatch(model, pairs, explainer);
+  EXPECT_EQ(serial.stats.num_failed_records, 1u);
+  ASSERT_EQ(serial.results.size(), 3u);
+  EXPECT_TRUE(serial.results[0].ok());
+  EXPECT_FALSE(serial.results[1].ok());
+  EXPECT_TRUE(serial.results[2].ok());
+  for (size_t threads : {size_t{4}, size_t{8}}) {
+    EngineOptions options;
+    options.num_threads = threads;
+    const EngineBatchResult parallel =
+        ExplainerEngine(options).ExplainBatch(model, pairs, explainer);
     const std::string label = "threads=" + std::to_string(threads);
-    EXPECT_EQ(graph.stats.num_failed_records, 1u) << label;
-    ASSERT_EQ(graph.results.size(), 3u) << label;
-    EXPECT_TRUE(graph.results[0].ok()) << label;
-    EXPECT_FALSE(graph.results[1].ok()) << label;
-    EXPECT_TRUE(graph.results[2].ok()) << label;
-    ExpectIdenticalResults(graph, staged, label);
-    ExpectIdenticalCounters(graph.stats, staged.stats, label);
+    ExpectIdenticalResults(parallel, serial, label);
+    ExpectIdenticalCounters(parallel.stats, serial.stats, label);
+  }
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    ExpectIdenticalRecord(
+        ExplainerEngine::Serial().ExplainOne(model, *pairs[i], explainer),
+        serial.results[i], "ExplainOne record " + std::to_string(i));
   }
 }
 

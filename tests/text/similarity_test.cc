@@ -2,10 +2,109 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "util/rng.h"
+
 namespace landmark {
 namespace {
 
 using Tokens = std::vector<std::string>;
+
+std::string RandomString(Rng& rng, size_t min_len, size_t max_len,
+                         int alphabet) {
+  const size_t len = static_cast<size_t>(rng.NextInt(
+      static_cast<int64_t>(min_len), static_cast<int64_t>(max_len)));
+  std::string out;
+  for (size_t i = 0; i < len; ++i) {
+    out.push_back(static_cast<char>('a' + rng.NextInt(0, alphabet - 1)));
+  }
+  return out;
+}
+
+/// Classic O(m*n) edit-distance DP, written out independently of
+/// similarity.cc: the reference for both the word-sized Myers kernel and
+/// the long-string fallback.
+size_t ReferenceLevenshtein(const std::string& a, const std::string& b) {
+  std::vector<size_t> prev(a.size() + 1);
+  std::vector<size_t> curr(a.size() + 1);
+  for (size_t i = 0; i <= a.size(); ++i) prev[i] = i;
+  for (size_t j = 1; j <= b.size(); ++j) {
+    curr[0] = j;
+    for (size_t i = 1; i <= a.size(); ++i) {
+      const size_t cost = a[i - 1] == b[j - 1] ? 0 : 1;
+      curr[i] = std::min({prev[i] + 1, curr[i - 1] + 1, prev[i - 1] + cost});
+    }
+    std::swap(prev, curr);
+  }
+  return prev[a.size()];
+}
+
+/// Nested-loop Jaro with the same closing formula as similarity.cc, so the
+/// comparison below can demand bit-equality.
+double ReferenceJaro(const std::string& a, const std::string& b) {
+  const size_t la = a.size();
+  const size_t lb = b.size();
+  if (la == 0 && lb == 0) return 1.0;
+  if (la == 0 || lb == 0) return 0.0;
+  const size_t window = std::max<size_t>(1, std::max(la, lb) / 2) - 1;
+  std::vector<bool> a_matched(la, false);
+  std::vector<bool> b_matched(lb, false);
+  size_t matches = 0;
+  for (size_t i = 0; i < la; ++i) {
+    const size_t lo = i > window ? i - window : 0;
+    const size_t hi = std::min(lb, i + window + 1);
+    for (size_t j = lo; j < hi; ++j) {
+      if (b_matched[j] || a[i] != b[j]) continue;
+      a_matched[i] = b_matched[j] = true;
+      ++matches;
+      break;
+    }
+  }
+  if (matches == 0) return 0.0;
+  size_t transpositions = 0;
+  for (size_t i = 0, j = 0; i < la; ++i) {
+    if (!a_matched[i]) continue;
+    while (!b_matched[j]) ++j;
+    if (a[i] != b[j]) ++transpositions;
+    ++j;
+  }
+  const double m = static_cast<double>(matches);
+  return (m / la + m / lb + (m - transpositions / 2.0) / m) / 3.0;
+}
+
+// The bit-parallel kernels take strings of at most 64 characters; longer
+// ones fall back to the scalar loops. Lengths here straddle that limit on
+// both sides so each comparison exercises the dispatch, not just a kernel.
+TEST(LevenshteinTest, MatchesScalarDpAcrossWordLimit) {
+  Rng rng(61);
+  for (int trial = 0; trial < 600; ++trial) {
+    // Small alphabets force repeats, the hard case for the bit deltas.
+    const int alphabet = trial % 2 == 0 ? 3 : 26;
+    const std::string a = RandomString(rng, 56, 72, alphabet);
+    const std::string b = RandomString(rng, 0, 100, alphabet);
+    EXPECT_EQ(LevenshteinDistance(a, b), ReferenceLevenshtein(a, b))
+        << "a=" << a << " b=" << b;
+    EXPECT_EQ(LevenshteinDistance(b, a), ReferenceLevenshtein(a, b))
+        << "a=" << b << " b=" << a;
+  }
+}
+
+TEST(JaroTest, MatchesScalarScanAcrossWordLimit) {
+  Rng rng(62);
+  for (int trial = 0; trial < 600; ++trial) {
+    const int alphabet = trial % 2 == 0 ? 3 : 26;
+    const std::string a = RandomString(rng, 56, 72, alphabet);
+    const std::string b = RandomString(rng, 0, 100, alphabet);
+    // EXPECT_EQ on doubles: the contract is bit-equality, not epsilon.
+    EXPECT_EQ(JaroSimilarity(a, b), ReferenceJaro(a, b))
+        << "a=" << a << " b=" << b;
+    EXPECT_EQ(JaroSimilarity(b, a), ReferenceJaro(b, a))
+        << "a=" << b << " b=" << a;
+  }
+}
 
 TEST(LevenshteinTest, KnownDistances) {
   EXPECT_EQ(LevenshteinDistance("kitten", "sitting"), 3u);
@@ -106,6 +205,13 @@ struct SimCase {
   std::string a;
   std::string b;
 };
+
+// Without a printer gtest names each case by its raw bytes, heap pointers
+// included, so the test names would change from one process to the next.
+void PrintTo(const SimCase& c, std::ostream* os) {
+  *os << ::testing::PrintToString(c.a) << " vs "
+      << ::testing::PrintToString(c.b);
+}
 
 class SimilarityPropertyTest : public ::testing::TestWithParam<SimCase> {};
 

@@ -80,6 +80,43 @@ TEST(TokenizedValueTest, SimilaritiesBitIdenticalToStringPath) {
   }
 }
 
+/// A copy of `v` whose key columns are marked unusable, which sends every
+/// merge down its string-column fallback (the path profiles take when a
+/// token or gram contains a NUL byte).
+TokenizedValue WithoutKeys(TokenizedValue v) {
+  v.token_keys_ordered = false;
+  v.token_keys_exact = false;
+  v.trigram_keys_ordered = false;
+  return v;
+}
+
+TEST(TokenizedValueTest, KeyedMergesMatchStringMerges) {
+  std::vector<std::string> corpus = Corpus();
+  // Tokens longer than 8 bytes that share their 8-byte key: equal keys the
+  // keyed merge must resolve by full compare.
+  corpus.insert(corpus.end(), {"internationalization internationalisation",
+                               "internationalisation standardization",
+                               "abcdefghij abcdefghik abcdefgh",
+                               "abcdefghik abcdefghij abcdefghij"});
+  for (const std::string& a : corpus) {
+    for (const std::string& b : corpus) {
+      const TokenizedValue ka = TokenizedValue::Of(a);
+      const TokenizedValue kb = TokenizedValue::Of(b);
+      ASSERT_TRUE(ka.token_keys_ordered && ka.trigram_keys_ordered) << a;
+      const TokenizedValue sa = WithoutKeys(ka);
+      const TokenizedValue sb = WithoutKeys(kb);
+      EXPECT_EQ(JaccardSimilarity(ka, kb), JaccardSimilarity(sa, sb))
+          << "jaccard(\"" << a << "\", \"" << b << "\")";
+      EXPECT_EQ(OverlapCoefficient(ka, kb), OverlapCoefficient(sa, sb))
+          << "overlap(\"" << a << "\", \"" << b << "\")";
+      EXPECT_EQ(CosineTokenSimilarity(ka, kb), CosineTokenSimilarity(sa, sb))
+          << "cosine(\"" << a << "\", \"" << b << "\")";
+      EXPECT_EQ(TrigramSimilarity(ka, kb), TrigramSimilarity(sa, sb))
+          << "trigram(\"" << a << "\", \"" << b << "\")";
+    }
+  }
+}
+
 TEST(TokenCacheTest, CountsHitsAndMisses) {
   TokenCache cache;
   EXPECT_EQ(cache.hits(), 0u);

@@ -125,11 +125,10 @@ TEST(ActivityRegistryTest, LocalSlotIsRegisteredAndStable) {
 
 TEST(FlightDeckTest, RegisterFindUnregister) {
   FlightDeck& deck = FlightDeck::Global();
-  std::shared_ptr<BatchProgress> batch = deck.RegisterBatch(5, "staged", 1.5);
+  std::shared_ptr<BatchProgress> batch = deck.RegisterBatch(5, 1.5);
   ASSERT_NE(batch, nullptr);
   EXPECT_GT(batch->id(), 0u);
   EXPECT_EQ(batch->num_records(), 5u);
-  EXPECT_STREQ(batch->scheduler(), "staged");
   EXPECT_EQ(batch->stall_threshold(), 1.5);
 
   EXPECT_EQ(deck.FindBatch(batch->id()), batch);
@@ -140,7 +139,7 @@ TEST(FlightDeckTest, RegisterFindUnregister) {
 }
 
 TEST(FlightDeckTest, BatchProgressStallRecording) {
-  BatchProgress progress(9, 2, "task-graph", 0.25);
+  BatchProgress progress(9, 2, 0.25);
   EXPECT_EQ(progress.num_stalls(), 0u);
 
   StallReport report;
@@ -160,23 +159,21 @@ TEST(FlightDeckTest, BatchProgressStallRecording) {
 }
 
 TEST(FlightDeckTest, StatusRendersBatchesAndWorkers) {
-  BatchProgressScope scope(3, "task-graph", 0.0);
+  BatchProgressScope scope(3, 0.0);
   scope.progress().SetTokenCacheProbe([] {
     return std::vector<size_t>{4, 0, 2};
   });
 
   const std::string text = FlightDeckStatusText();
   EXPECT_NE(text.find("-- flight deck --"), std::string::npos) << text;
-  EXPECT_NE(text.find("scheduler=task-graph records=3"), std::string::npos)
-      << text;
+  EXPECT_NE(text.find(": records=3 "), std::string::npos) << text;
   EXPECT_NE(text.find("token_cache shards: 4 0 2 (total 6)"),
             std::string::npos)
       << text;
 
   const std::string json = FlightDeckStatusJson();
   EXPECT_EQ(json.front(), '{') << json;
-  EXPECT_NE(json.find("\"scheduler\":\"task-graph\""), std::string::npos)
-      << json;
+  EXPECT_NE(json.find("\"num_records\":3"), std::string::npos) << json;
   EXPECT_NE(json.find("\"token_cache_shards\":[4,0,2]"), std::string::npos)
       << json;
   EXPECT_NE(json.find("\"workers\":["), std::string::npos) << json;
@@ -222,7 +219,7 @@ TEST(SamplingProfilerTest, CapturesLiveActivityFrames) {
 TEST(StallWatchdogTest, VirtualClockStallIsReportedOnce) {
   FakeClockScope clock(1000);
 
-  BatchProgressScope batch(4, "task-graph", /*stall_threshold=*/0.5);
+  BatchProgressScope batch(4, /*stall_threshold=*/0.5);
   const uint64_t batch_id = batch.progress().id();
 
   // A watchdog whose monitor thread practically never fires on its own: the
@@ -274,7 +271,7 @@ TEST(StallWatchdogTest, VirtualClockStallIsReportedOnce) {
 
 TEST(StallWatchdogTest, DisabledThresholdNeverReports) {
   FakeClockScope clock(1000);
-  BatchProgressScope batch(1, "staged", /*stall_threshold=*/0.0);
+  BatchProgressScope batch(1, /*stall_threshold=*/0.0);
 
   StallWatchdogOptions options;
   options.poll_interval_ns = 3600ull * 1000 * 1000 * 1000;

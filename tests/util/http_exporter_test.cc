@@ -3,12 +3,19 @@
 // invariants of histogram rendering against a live Histogram (cumulative
 // buckets, the final `+Inf` sample equal to `_count`), and the HTTP
 // surface (/metrics, /healthz, /statusz, /statusz?format=json, /profilez,
-// 404) over a real socket.
+// 404) over a real socket, including a client that connects and goes
+// silent.
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <future>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -211,6 +218,68 @@ TEST(HttpExporterTest, StartFailsOnTakenPort) {
   taken.port = (*first)->port();
   auto second = HttpExporter::Start(taken);
   EXPECT_FALSE(second.ok());
+}
+
+/// A loopback TCP client that connects and then never sends a byte.
+class SilentClient {
+ public:
+  explicit SilentClient(uint16_t port)
+      : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(port);
+    connected_ = fd_ >= 0 &&
+                 ::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
+                           sizeof(addr)) == 0;
+  }
+  ~SilentClient() { Close(); }
+  SilentClient(const SilentClient&) = delete;
+  SilentClient& operator=(const SilentClient&) = delete;
+
+  bool connected() const { return connected_; }
+  void Close() {
+    if (fd_ >= 0) ::close(fd_);
+    fd_ = -1;
+  }
+
+ private:
+  int fd_;
+  bool connected_ = false;
+};
+
+TEST(HttpExporterTest, SilentClientBlocksNeitherScrapesNorStop) {
+  auto exporter = HttpExporter::Start({});
+  ASSERT_TRUE(exporter.ok()) << exporter.status().ToString();
+  const uint16_t port = (*exporter)->port();
+
+  // Connections are accepted in arrival order, so the server takes the
+  // silent client first and waits on it; the scrape queues behind it.
+  SilentClient silent(port);
+  ASSERT_TRUE(silent.connected());
+  auto healthz = std::async(std::launch::async, [port] {
+    int status = 0;
+    auto body = HttpGetLoopback(port, "/healthz", &status);
+    return body.ok() && status == 200 && *body == "ok\n";
+  });
+  // The server gives up on the silent client after its 2 s I/O deadline;
+  // the bound leaves room for a loaded sanitizer build.
+  const bool answered = healthz.wait_for(std::chrono::seconds(10)) ==
+                        std::future_status::ready;
+  silent.Close();  // frees a server still stuck on it, so the future drains
+  EXPECT_TRUE(answered) << "/healthz waited on a silent client";
+  EXPECT_TRUE(healthz.get());
+
+  // Stop() with a silent connection in flight must shut that connection
+  // down, not wait for the peer or the deadline.
+  SilentClient silent_at_stop(port);
+  ASSERT_TRUE(silent_at_stop.connected());
+  auto stop = std::async(std::launch::async, [&] { (*exporter)->Stop(); });
+  const bool stopped =
+      stop.wait_for(std::chrono::seconds(1)) == std::future_status::ready;
+  silent_at_stop.Close();
+  EXPECT_TRUE(stopped) << "Stop() waited on a silent client";
+  stop.get();
 }
 
 TEST(HttpExporterTest, StopUnblocksIdleAcceptLoop) {

@@ -51,15 +51,14 @@ commands:
   train-eval      (--dataset CODE | --input FILE) [--model logreg|forest]
   explain         (--dataset CODE | --input FILE) --pair N
                   [--technique single|double|auto|lime|copy|anchor] [--top K]
-                  [--model logreg|forest] [--samples N] [--no-simd]
+                  [--model logreg|forest] [--samples N]
   counterfactual  (--dataset CODE | --input FILE) --pair N [--model ...]
   summary         (--dataset CODE | --input FILE) [--records N] [--top K]
   evaluate        --dataset CODE [--records N] [--samples N] [--scale F]
-                  [--threads N] [--no-predict-cache] [--no-feature-cache]
-                  [--no-task-graph] [--no-simd] [--stall-threshold S]
+                  [--threads N] [--no-predict-cache] [--stall-threshold S]
                   [--engine-stats]
   telemetry-demo  [--dataset CODE] [--records N] [--threads N]
-                  [--no-simd] [--stall-threshold S]
+                  [--stall-threshold S]
 
 every command also accepts:
   --metrics-out FILE   write the metrics-registry snapshot as JSON
@@ -236,10 +235,8 @@ int CmdExplain(const Flags& flags) {
     std::cerr << explainer.status().ToString() << "\n";
     return 1;
   }
-  EngineOptions engine_options;
-  engine_options.simd = !flags.GetBool("no-simd", false);
-  ExplainerEngine engine(engine_options);
-  auto explanations = engine.ExplainOne(**model, pair, **explainer);
+  auto explanations =
+      ExplainerEngine::Serial().ExplainOne(**model, pair, **explainer);
   if (!explanations.ok()) {
     std::cerr << explanations.status().ToString() << "\n";
     return 1;
@@ -273,10 +270,8 @@ int CmdCounterfactual(const Flags& flags) {
     return 1;
   }
   const PairRecord& pair = dataset->pair(pair_index);
-  EngineOptions engine_options;
-  engine_options.simd = !flags.GetBool("no-simd", false);
-  ExplainerEngine engine(engine_options);
-  auto explanations = engine.ExplainOne(**model, pair, **explainer);
+  auto explanations =
+      ExplainerEngine::Serial().ExplainOne(**model, pair, **explainer);
   if (!explanations.ok()) {
     std::cerr << explanations.status().ToString() << "\n";
     return 1;
