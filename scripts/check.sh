@@ -22,21 +22,20 @@
 #               detector is observation-only
 #
 # After the sanitizer matrix, a default (non-sanitized) landmark_cli runs
-# `telemetry-demo --trace-out --metrics-out --audit-out --profile-out
-# --timeline-out` and the outputs are checked by scripts/validate_trace.py
+# `telemetry-demo --trace-out --metrics-out --audit-out --profile-out`
+# and the outputs are checked by scripts/validate_trace.py
 # (stdlib Python; skipped when python3 is absent). The perfbench smoke
 # stage then runs perfbench's own tests (`python3 -m unittest discover -s
 # perfbench/tests`): the golden-check unit tests plus one short run of
 # every benchmark workload, which must report correct output.
 #
 # Finally the exporter smoke stage starts a tiny batch with
-# `--metrics-port 0` (ephemeral port announced on stdout), scrapes /metrics
-# and /healthz through tools/http_probe (raw sockets; the image has no
-# curl), and asserts the exposition contains the explain/quality histograms
-# — once against the default build and once against the TSan build. The
-# timeline smoke stage does the same with `--slo` armed and additionally
-# scrapes /timelinez (text + JSON), /sloz, and the OpenMetrics exposition
-# (Accept negotiation + the mandatory `# EOF` trailer).
+# `--metrics-port 0` (ephemeral port announced on stdout), scrapes /metrics,
+# /healthz and /statusz through tools/http_probe (raw sockets; the image
+# has no curl), asserts the exposition contains the explain/quality
+# histograms, and checks the OpenMetrics exposition (Accept negotiation +
+# the mandatory `# EOF` trailer) — once against the default build and once
+# against the TSan build.
 #
 # Usage: scripts/check.sh [jobs]
 set -euo pipefail
@@ -57,7 +56,7 @@ done
 
 echo "=== [tsan] telemetry + scheduler focused re-run ==="
 ctest --preset tsan -j "$JOBS" -R \
-  'Counter|Gauge|Histogram|MetricsRegistry|TraceRecorder|EngineTelemetry|ThreadPool|HttpExporter|Audit|Prometheus|TaskGraph|Scheduler|EngineOneRecord|FlightDeck|Profiler|Activity|Stall|SnapshotCollector|WindowedQuantile|Timeline|Slo'
+  'Counter|Gauge|Histogram|MetricsRegistry|TraceRecorder|EngineTelemetry|ThreadPool|HttpExporter|Audit|Prometheus|TaskGraph|Scheduler|EngineOneRecord|FlightDeck|Profiler|Activity|Stall'
 
 echo "=== [default] telemetry outputs ==="
 cmake -B build -S . -DLANDMARK_WERROR=ON >/dev/null
@@ -68,15 +67,12 @@ trap 'rm -rf "$TELEMETRY_TMP"' EXIT
   --trace-out="$TELEMETRY_TMP/trace.json" \
   --metrics-out="$TELEMETRY_TMP/metrics.json" \
   --audit-out="$TELEMETRY_TMP/audit.jsonl" \
-  --profile-out="$TELEMETRY_TMP/profile.folded" \
-  --timeline-out="$TELEMETRY_TMP/timeline.jsonl" \
-  --timeline-period 0.05 >/dev/null
+  --profile-out="$TELEMETRY_TMP/profile.folded" >/dev/null
 if command -v python3 >/dev/null 2>&1; then
   python3 scripts/validate_trace.py \
     "$TELEMETRY_TMP/trace.json" "$TELEMETRY_TMP/metrics.json" \
     --audit "$TELEMETRY_TMP/audit.jsonl" \
-    --profile "$TELEMETRY_TMP/profile.folded" \
-    --timeline "$TELEMETRY_TMP/timeline.jsonl"
+    --profile "$TELEMETRY_TMP/profile.folded"
 else
   echo "python3 not found; skipped trace/metrics validation"
 fi
@@ -119,7 +115,8 @@ echo "deadlock-debug: detector is observation-only (outputs identical)"
 # Exporter smoke: background a tiny batch that serves /metrics on an
 # ephemeral port and lingers, poll the announced port until the finished
 # batch's explain/quality histograms appear in the exposition, check
-# /healthz, then take the process down.
+# /healthz, /statusz and the OpenMetrics exposition behind Accept
+# negotiation, then take the process down.
 exporter_smoke() {
   local bindir="$1" tag="$2"
   local log="$TELEMETRY_TMP/exporter_$tag.log"
@@ -163,6 +160,10 @@ exporter_smoke() {
     >/dev/null
   "$bindir/tools/http_probe" "$port" /statusz \
     --expect-substring engine/batches >/dev/null
+  "$bindir/tools/http_probe" "$port" /metrics \
+    --accept application/openmetrics-text \
+    --expect-substring "# EOF" \
+    >"$TELEMETRY_TMP/openmetrics_$tag.prom"
   kill "$pid" 2>/dev/null || true
   wait "$pid" 2>/dev/null || true
   echo "exporter smoke [$tag]: ok (port $port)"
@@ -172,75 +173,5 @@ echo "=== exporter smoke [default] ==="
 exporter_smoke build default
 echo "=== exporter smoke [tsan] ==="
 exporter_smoke build-tsan tsan
-
-# Timeline smoke: same backgrounded-batch pattern, with the snapshot
-# collector ticking fast and an SLO policy registered. The lingering
-# process must serve the windowed time series on /timelinez (text + JSON),
-# the burn-rate table on /sloz, and the OpenMetrics exposition (with the
-# mandatory `# EOF` trailer) behind Accept negotiation on /metrics.
-timeline_smoke() {
-  local bindir="$1" tag="$2"
-  local log="$TELEMETRY_TMP/timeline_$tag.log"
-  "$bindir/tools/landmark_cli" telemetry-demo --records 4 --samples 32 \
-    --scale 0.25 --metrics-port 0 --metrics-linger 300 \
-    --timeline-period 0.05 \
-    --slo "unit_q=engine/unit/query_seconds,p95<0.5,window=300" \
-    >"$log" 2>&1 &
-  local pid=$!
-  local port=""
-  for _ in $(seq 1 600); do
-    port="$(sed -n 's#.*http://127\.0\.0\.1:\([0-9]*\)/metrics.*#\1#p' \
-      "$log" | head -n 1)"
-    [ -n "$port" ] && break
-    if ! kill -0 "$pid" 2>/dev/null; then
-      echo "timeline smoke [$tag]: process exited before announcing a port"
-      cat "$log"
-      return 1
-    fi
-    sleep 0.1
-  done
-  if [ -z "$port" ]; then
-    echo "timeline smoke [$tag]: no port announced"
-    kill "$pid" 2>/dev/null || true
-    return 1
-  fi
-  # Wait until the SLO has data: the port is announced before the batch
-  # runs, and the collector folds the batch into a window only on a later
-  # tick, so probing right away can see an SLO with no data yet.
-  local scraped=""
-  for _ in $(seq 1 600); do
-    if "$bindir/tools/http_probe" "$port" '/sloz?format=json' \
-        --expect-substring '"has_data":true' >/dev/null 2>&1; then
-      scraped=1
-      break
-    fi
-    sleep 0.2
-  done
-  if [ -z "$scraped" ]; then
-    echo "timeline smoke [$tag]: /sloz never had data"
-    kill "$pid" 2>/dev/null || true
-    return 1
-  fi
-  "$bindir/tools/http_probe" "$port" '/timelinez?format=json' \
-    --expect-substring '"windows":[' >"$TELEMETRY_TMP/timelinez_$tag.json"
-  "$bindir/tools/http_probe" "$port" /timelinez \
-    --expect-substring "landmark timeline" >/dev/null
-  "$bindir/tools/http_probe" "$port" /sloz \
-    --expect-substring burn_rate >/dev/null
-  "$bindir/tools/http_probe" "$port" '/sloz?format=json' \
-    --expect-substring '"burn_rate":' >/dev/null
-  "$bindir/tools/http_probe" "$port" /metrics \
-    --accept application/openmetrics-text \
-    --expect-substring "# EOF" \
-    >"$TELEMETRY_TMP/openmetrics_$tag.prom"
-  kill "$pid" 2>/dev/null || true
-  wait "$pid" 2>/dev/null || true
-  echo "timeline smoke [$tag]: ok (port $port)"
-}
-
-echo "=== timeline smoke [default] ==="
-timeline_smoke build default
-echo "=== timeline smoke [tsan] ==="
-timeline_smoke build-tsan tsan
 
 echo "All sanitizer checks passed."

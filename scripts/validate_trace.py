@@ -4,10 +4,9 @@
 Usage:
     scripts/validate_trace.py [TRACE.json [METRICS.json]] [--audit AUDIT.jsonl]
                               [--profile PROFILE.folded]
-                              [--timeline TIMELINE.jsonl]
 
-TRACE.json may be omitted when at least one of the --audit/--profile/
---timeline validations is requested on its own.
+TRACE.json may be omitted when the --audit or --profile validation is
+requested on its own.
 
 Checks that TRACE.json is a loadable Chrome trace-event file — a JSON object
 with a `traceEvents` list whose entries carry the keys chrome://tracing and
@@ -24,12 +23,6 @@ globally monotone unit ordinal (the append-order determinism contract), and
 PROFILE.folded must be flamegraph-compatible folded-stack text: at least
 one `frame;frame;... COUNT` line with non-empty semicolon-separated frames
 and a positive integer count.
-TIMELINE.jsonl must be a `--timeline-out` dump from the snapshot collector:
-one `timeline_base` line first (cumulative counters the deltas build on),
-then `window` lines with strictly monotone indices, non-overlapping
-monotone `[start_ns, end_ns)` spans, non-negative counter deltas and
-rates, and internally consistent windowed histograms (bucket deltas sum
-to the window count, p50 <= p95 <= p99).
 
 Exit code 0 when everything holds; 1 with a message on the first violation.
 """
@@ -240,94 +233,6 @@ def validate_profile(path: str) -> None:
           f"({stacks} folded stacks, {total_samples} samples)")
 
 
-def validate_timeline(path: str) -> None:
-    """`--timeline-out` JSONL: one timeline_base line, then window lines."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            lines = f.readlines()
-    except OSError as e:
-        fail(f"{path}: unreadable: {e}")
-    saw_base = False
-    windows = 0
-    prev_index = None
-    prev_end = None
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as e:
-            fail(f"{path}:{lineno}: not valid JSON: {e}")
-        if not isinstance(record, dict) or "type" not in record:
-            fail(f"{path}:{lineno}: every line must be an object with 'type'")
-        if record["type"] == "timeline_base":
-            if saw_base:
-                fail(f"{path}:{lineno}: duplicate timeline_base line")
-            if windows:
-                fail(f"{path}:{lineno}: timeline_base must precede windows")
-            saw_base = True
-            if not isinstance(record.get("start_ns"), int) \
-                    or record["start_ns"] < 0:
-                fail(f"{path}:{lineno}: base start_ns must be a non-negative "
-                     f"integer")
-            if not isinstance(record.get("counters"), dict):
-                fail(f"{path}:{lineno}: base 'counters' must be an object")
-            for name, value in record["counters"].items():
-                if not isinstance(value, int) or value < 0:
-                    fail(f"{path}:{lineno}: base counter '{name}' must be a "
-                         f"non-negative integer")
-        elif record["type"] == "window":
-            if not saw_base:
-                fail(f"{path}:{lineno}: window line before timeline_base")
-            windows += 1
-            for key in ("index", "start_ns", "end_ns", "seconds", "counters",
-                        "gauges", "histograms"):
-                if key not in record:
-                    fail(f"{path}:{lineno}: window missing '{key}'")
-            if prev_index is not None and record["index"] <= prev_index:
-                fail(f"{path}:{lineno}: window index {record['index']} not "
-                     f"strictly monotone (previous {prev_index})")
-            prev_index = record["index"]
-            if record["end_ns"] <= record["start_ns"]:
-                fail(f"{path}:{lineno}: window end_ns must exceed start_ns")
-            if prev_end is not None and record["start_ns"] < prev_end:
-                fail(f"{path}:{lineno}: window starts at "
-                     f"{record['start_ns']}, before the previous window "
-                     f"ended at {prev_end} (timestamps must be monotone)")
-            prev_end = record["end_ns"]
-            for c in record["counters"]:
-                if not isinstance(c.get("delta"), int) or c["delta"] < 0:
-                    fail(f"{path}:{lineno}: counter '{c.get('name')}' delta "
-                         f"must be a non-negative integer")
-                if c.get("rate", 0) < 0:
-                    fail(f"{path}:{lineno}: counter '{c.get('name')}' has a "
-                         f"negative rate")
-            for h in record["histograms"]:
-                for key in ("name", "count", "sum", "p50", "p95", "p99",
-                            "buckets"):
-                    if key not in h:
-                        fail(f"{path}:{lineno}: histogram "
-                             f"'{h.get('name')}' missing '{key}'")
-                if h["count"] < 0 or h["sum"] < 0:
-                    fail(f"{path}:{lineno}: histogram '{h['name']}' has a "
-                         f"negative count or sum delta")
-                bucket_total = sum(b["delta"] for b in h["buckets"])
-                if bucket_total != h["count"]:
-                    fail(f"{path}:{lineno}: histogram '{h['name']}' bucket "
-                         f"deltas sum to {bucket_total}, expected "
-                         f"count={h['count']}")
-                if h["count"] > 0 and not h["p50"] <= h["p95"] <= h["p99"]:
-                    fail(f"{path}:{lineno}: histogram '{h['name']}' windowed "
-                         f"percentiles out of order: p50={h['p50']} "
-                         f"p95={h['p95']} p99={h['p99']}")
-        else:
-            fail(f"{path}:{lineno}: unknown record type {record['type']!r}")
-    if not saw_base:
-        fail(f"{path}: no timeline_base line (collector never armed?)")
-    print(f"validate_trace: {path}: ok (1 base, {windows} windows)")
-
-
 def main(argv) -> int:
     args = list(argv[1:])
     audit_path = None
@@ -346,19 +251,7 @@ def main(argv) -> int:
             return 2
         profile_path = args[at + 1]
         del args[at:at + 2]
-    timeline_path = None
-    if "--timeline" in args:
-        at = args.index("--timeline")
-        if at + 1 >= len(args):
-            print(__doc__, file=sys.stderr)
-            return 2
-        timeline_path = args[at + 1]
-        del args[at:at + 2]
-    flags_only = (
-        audit_path is not None
-        or profile_path is not None
-        or timeline_path is not None
-    )
+    flags_only = audit_path is not None or profile_path is not None
     if len(args) > 2 or (len(args) < 1 and not flags_only):
         print(__doc__, file=sys.stderr)
         return 2
@@ -370,8 +263,6 @@ def main(argv) -> int:
         validate_audit(audit_path)
     if profile_path is not None:
         validate_profile(profile_path)
-    if timeline_path is not None:
-        validate_timeline(timeline_path)
     return 0
 
 

@@ -117,10 +117,6 @@ struct EngineMetrics {
   Histogram& unit_query_seconds;
   Histogram& unit_fit_seconds;
   Histogram& unit_critical_path_seconds;
-  Gauge& inflight_plan;
-  Gauge& inflight_reconstruct;
-  Gauge& inflight_query;
-  Gauge& inflight_fit;
 
   static const EngineMetrics& Get() {
     static const EngineMetrics* metrics = [] {
@@ -142,26 +138,10 @@ struct EngineMetrics {
                                r.GetHistogram("engine/unit/query_seconds"),
                                r.GetHistogram("engine/unit/fit_seconds"),
                                r.GetHistogram(
-                                   "engine/unit_critical_path_seconds"),
-                               r.GetGauge("engine/inflight/plan"),
-                               r.GetGauge("engine/inflight/reconstruct"),
-                               r.GetGauge("engine/inflight/query"),
-                               r.GetGauge("engine/inflight/fit")};
+                                   "engine/unit_critical_path_seconds")};
     }();
     return *metrics;
   }
-};
-
-/// Holds a stage's in-flight gauge up for the lifetime of one node body.
-class InflightScope {
- public:
-  explicit InflightScope(Gauge& gauge) : gauge_(gauge) { gauge_.Add(1.0); }
-  ~InflightScope() { gauge_.Add(-1.0); }
-  InflightScope(const InflightScope&) = delete;
-  InflightScope& operator=(const InflightScope&) = delete;
-
- private:
-  Gauge& gauge_;
 };
 
 /// Coefficients kept per audit line; matches Explanation::ToString's
@@ -429,7 +409,6 @@ EngineBatchResult RunGraph(const EngineOptions& options, const EmModel& model,
       // Neighborhood sampling is plan-stage work that happens to live in
       // the unit's first node (it needs only the unit itself, and splitting
       // it off would double the node count for no extra parallelism).
-      InflightScope inflight(metrics.inflight_plan);
       TraceSpan span("engine/plan");
       Timer timer;
       explainer.SampleNeighborhood(work.unit.dim, work.unit.rng, &work.masks,
@@ -438,7 +417,6 @@ EngineBatchResult RunGraph(const EngineOptions& options, const EmModel& model,
           work.masks, options.cache_predictions, &work.unique_index);
       work.plan_seconds = timer.ElapsedSeconds();
     }
-    InflightScope inflight(metrics.inflight_reconstruct);
     TraceSpan span("engine/reconstruct");
     Timer timer;
     work.reconstructed.reserve(work.unique_index.size());
@@ -475,7 +453,6 @@ EngineBatchResult RunGraph(const EngineOptions& options, const EmModel& model,
     if (!work.queried) return;
     NodeTagScope node_tag(deck_id, "engine/query", static_cast<uint32_t>(i),
                           static_cast<uint32_t>(w));
-    InflightScope inflight(metrics.inflight_query);
     TraceSpan span("engine/query");
     Timer timer;
     work.predictions.resize(work.reconstructed.size());
@@ -497,7 +474,6 @@ EngineBatchResult RunGraph(const EngineOptions& options, const EmModel& model,
     if (!work.queried) return;
     NodeTagScope node_tag(deck_id, "engine/fit", static_cast<uint32_t>(i),
                           static_cast<uint32_t>(w));
-    InflightScope inflight(metrics.inflight_fit);
     TraceSpan span("engine/fit");
     Timer timer;
     std::vector<double> unit_predictions(work.masks.rows());
@@ -530,7 +506,6 @@ EngineBatchResult RunGraph(const EngineOptions& options, const EmModel& model,
       NodeTagScope node_tag(deck_id, "engine/plan", static_cast<uint32_t>(i),
                             kActivityNoIndex);
       {
-        InflightScope inflight(metrics.inflight_plan);
         TraceSpan span("engine/plan");
         Timer timer;
         Result<std::vector<ExplainUnit>> units = plan(i);

@@ -35,19 +35,34 @@ void EmModel::PredictProbaPrepared(const PreparedPairBatch& prepared,
   PredictProbaRange(prepared.pairs(), begin, end, out);
 }
 
+namespace {
+
+/// Global-registry handles for the query metrics, resolved once so every
+/// scored range updates them lock-free.
+struct ModelMetrics {
+  Counter& queries;
+  Histogram& query_latency;
+  Histogram& query_batch_seconds;
+
+  static const ModelMetrics& Get() {
+    static const ModelMetrics* metrics = [] {
+      MetricsRegistry& r = MetricsRegistry::Global();
+      return new ModelMetrics{r.GetCounter("model/queries"),
+                              r.GetHistogram("model/query_latency"),
+                              r.GetHistogram("model/query_batch_seconds")};
+    }();
+    return *metrics;
+  }
+};
+
+}  // namespace
+
 void EmModel::ReportQueryTelemetry(size_t num_pairs, double seconds) const {
   if (num_pairs == 0) return;
-  // Per-type visibility into the dominant pipeline cost. One registry
-  // round-trip per *range call* (the engine shards a whole batch into at
-  // most num_threads ranges), never per pair.
-  const double per_pair = seconds / static_cast<double>(num_pairs);
-  const std::string model_name = name();
-  MetricsRegistry& registry = MetricsRegistry::Global();
-  registry.GetCounter("model/queries").Add(num_pairs);
-  registry.GetCounter("model/queries/" + model_name).Add(num_pairs);
-  registry.GetHistogram("model/query_latency").Record(per_pair);
-  registry.GetHistogram("model/query_latency/" + model_name).Record(per_pair);
-  registry.GetHistogram("model/query_batch_seconds").Record(seconds);
+  const ModelMetrics& metrics = ModelMetrics::Get();
+  metrics.queries.Add(num_pairs);
+  metrics.query_latency.Record(seconds / static_cast<double>(num_pairs));
+  metrics.query_batch_seconds.Record(seconds);
 }
 
 }  // namespace landmark

@@ -41,10 +41,10 @@ class EmModel {
   /// loops over PredictProba. Models with an internally vectorized batch
   /// path can override it once and serve both entry points.
   ///
-  /// The default implementation reports per-model-type telemetry
-  /// (`model/query_latency[/<name>]`, `model/queries[/<name>]` — see
-  /// docs/architecture.md "Telemetry"); overrides that bypass it should
-  /// record the same metrics to keep stage breakdowns comparable.
+  /// The default implementation reports the query telemetry
+  /// (`model/query_latency`, `model/queries` — see docs/architecture.md
+  /// "Telemetry"); overrides that bypass it should record the same metrics
+  /// to keep stage breakdowns comparable.
   virtual void PredictProbaRange(const std::vector<PairRecord>& pairs,
                                  size_t begin, size_t end, double* out) const;
 
@@ -57,7 +57,7 @@ class EmModel {
   /// The default falls back to PredictProbaRange on the raw pairs, so
   /// custom models keep working unchanged (they just don't get the
   /// speedup). Overrides should call ReportQueryTelemetry once per range to
-  /// keep the per-type metrics comparable with the string path.
+  /// keep the query metrics comparable with the string path.
   virtual void PredictProbaPrepared(const PreparedPairBatch& prepared,
                                     size_t begin, size_t end,
                                     double* out) const;
@@ -80,10 +80,10 @@ class EmModel {
   }
 
  protected:
-  /// Records the per-model-type query metrics (`model/queries[/<name>]`,
-  /// `model/query_latency[/<name>]`, `model/query_batch_seconds`) for one
-  /// scored range. Shared by the PredictProbaRange default and the
-  /// PredictProbaPrepared overrides; call once per range, never per pair.
+  /// Records the query metrics (`model/queries`, `model/query_latency`,
+  /// `model/query_batch_seconds`) for one scored range. Shared by the
+  /// PredictProbaRange default and the PredictProbaPrepared overrides; call
+  /// once per range, never per pair.
   void ReportQueryTelemetry(size_t num_pairs, double seconds) const;
 };
 

@@ -18,8 +18,6 @@
 
 #include "util/string_util.h"
 #include "util/telemetry/flight_deck.h"
-#include "util/telemetry/slo.h"
-#include "util/telemetry/timeseries.h"
 #include "util/telemetry/trace.h"
 #include "util/timer.h"
 
@@ -177,8 +175,7 @@ std::string StatuszBody(uint64_t started_ns) {
 /// JSON object and kept next to the 404 body so the two cannot drift apart.
 std::string EndpointsJsonArray() {
   return "[\"/metrics\",\"/healthz\",\"/statusz\",\"/statusz?format=json\","
-         "\"/profilez?seconds=N\",\"/timelinez\",\"/timelinez?format=json\","
-         "\"/sloz\",\"/sloz?format=json\"]";
+         "\"/profilez?seconds=N\"]";
 }
 
 /// Folded-stack profile over a sampling window. seconds == 0 returns the
@@ -491,27 +488,9 @@ std::string HttpExporter::HandleRequest(const std::string& method,
     if (seconds > 30.0) seconds = 30.0;
     return MakeResponse(200, "OK", "text/plain", ProfilezBody(seconds));
   }
-  if (route == "/timelinez") {
-    const SnapshotCollector& collector = SnapshotCollector::Global();
-    if (QueryParam(query, "format", "text") == "json") {
-      return MakeResponse(200, "OK", "application/json",
-                          collector.TimelinezJson() + "\n");
-    }
-    return MakeResponse(200, "OK", "text/plain", collector.TimelinezText());
-  }
-  if (route == "/sloz") {
-    const SloRegistry& slos = SloRegistry::Global();
-    if (QueryParam(query, "format", "text") == "json") {
-      return MakeResponse(200, "OK", "application/json",
-                          slos.StatusJson() + "\n");
-    }
-    return MakeResponse(200, "OK", "text/plain", slos.StatusText());
-  }
   return MakeResponse(404, "Not Found", "text/plain",
                       "unknown path; try /metrics, /healthz, /statusz, "
-                      "/statusz?format=json, /profilez?seconds=N, "
-                      "/timelinez, /timelinez?format=json, /sloz, "
-                      "/sloz?format=json\n");
+                      "/statusz?format=json, /profilez?seconds=N\n");
 }
 
 Result<std::string> HttpGetLoopback(uint16_t port, const std::string& path,

@@ -64,14 +64,6 @@ struct HttpExporterOptions {
 ///                             [0, 30]; 0 returns the cumulative profile
 ///                             without waiting). Starts the global
 ///                             SamplingProfiler on first use.
-///   GET /timelinez            windowed time-series over the last N
-///                             collector periods (SnapshotCollector ring):
-///                             per-counter rates, windowed histogram
-///                             quantiles; `?format=json` for the machine
-///                             shape
-///   GET /sloz                 registered SLO policies with burn rate and
-///                             error-budget remaining; `?format=json`
-///                             likewise
 ///
 /// Every response carries an explicit Content-Type. The server binds
 /// 127.0.0.1 only and answers one blocking request at a time — it is an

@@ -128,8 +128,11 @@ void Histogram::Reset() {
   exemplar_slots_.reset();
 }
 
-/// Rank-`target` value (0-based, in [0, count-1]) estimated from aggregated
-/// bucket counts by linear interpolation within the owning bucket.
+namespace {
+
+/// Rank-interpolated quantile from aggregated bucket counts, clamped to the
+/// observed [min, max] extrema: the rank-`target` value (0-based, in
+/// [0, count-1]) by linear interpolation within the owning bucket.
 double HistogramPercentileFromBuckets(
     const std::array<uint64_t, Histogram::kNumBuckets>& counts, uint64_t count,
     double min, double max, double quantile) {
@@ -154,6 +157,8 @@ double HistogramPercentileFromBuckets(
   }
   return max;
 }
+
+}  // namespace
 
 HistogramSnapshot Histogram::Snapshot(std::string name) const {
   HistogramSnapshot snapshot;

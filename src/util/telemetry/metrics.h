@@ -206,15 +206,6 @@ class Histogram {
   std::unique_ptr<ExemplarSlots> exemplar_slots_ GUARDED_BY(exemplar_mu_);
 };
 
-/// Rank-interpolated quantile from aggregated bucket counts, clamped to the
-/// observed [min, max] extrema — the estimator behind
-/// HistogramSnapshot::p50/p95/p99, exposed so the time-series layer
-/// (util/telemetry/timeseries.h) can compute *windowed* quantiles from
-/// per-window bucket deltas with the same semantics.
-double HistogramPercentileFromBuckets(
-    const std::array<uint64_t, Histogram::kNumBuckets>& counts, uint64_t count,
-    double min, double max, double quantile);
-
 /// \brief Everything the registry knew at one instant, with names sorted, as
 /// plain values safe to format or ship without further synchronization.
 struct MetricsSnapshot {

@@ -1,6 +1,7 @@
 #include "util/telemetry/telemetry.h"
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <thread>
@@ -15,7 +16,6 @@ TelemetryScope::TelemetryScope(TelemetryScopeOptions options)
     : options_(std::move(options)) {
   active_ = !options_.metrics_path.empty() || !options_.trace_path.empty() ||
             !options_.audit_path.empty() || !options_.profile_path.empty() ||
-            !options_.timeline_path.empty() || !options_.slo_spec.empty() ||
             options_.serve_metrics;
   if (!options_.trace_path.empty()) TraceRecorder::Global().Start();
   if (!options_.profile_path.empty()) SamplingProfiler::Global().Start();
@@ -44,39 +44,6 @@ TelemetryScope::TelemetryScope(TelemetryScopeOptions options)
       LANDMARK_LOG(Error) << exporter.status().ToString();
     }
   }
-  // Any time-series consumer — JSONL dump, SLO policies, or just a live
-  // /timelinez behind the exporter — arms the global collector.
-  if (!options_.timeline_path.empty() || !options_.slo_spec.empty() ||
-      options_.serve_metrics) {
-    if (!options_.slo_spec.empty()) {
-      Result<std::vector<SloPolicy>> policies =
-          ParseSloSpecs(options_.slo_spec);
-      if (policies.ok()) {
-        for (const SloPolicy& policy : *policies) {
-          SloRegistry::Global().Register(policy);
-        }
-      } else {
-        LANDMARK_LOG(Error) << policies.status().ToString();
-      }
-    }
-    TimeseriesOptions timeseries_options;
-    if (options_.timeline_period_seconds > 0.0) {
-      timeseries_options.period_ns = static_cast<uint64_t>(
-          options_.timeline_period_seconds * 1e9);
-    }
-    SnapshotCollector& collector = SnapshotCollector::Global();
-    collector.Configure(timeseries_options);
-    // The SLO hook rides the collector's observer list; attach it once per
-    // process (scopes come and go, the global collector does not).
-    static const bool slo_observer_attached = [] {
-      SnapshotCollector::Global().AddObserver([](const TimeseriesWindow&) {
-        SloRegistry::Global().Evaluate(SnapshotCollector::Global().Windows());
-      });
-      return true;
-    }();
-    (void)slo_observer_attached;
-    collector.Start();
-  }
 }
 
 TelemetryScope::TelemetryScope(std::string metrics_path,
@@ -94,15 +61,21 @@ TelemetryScope TelemetryScope::FromFlags(const Flags& flags) {
   options.trace_path = flags.GetString("trace-out", "");
   options.audit_path = flags.GetString("audit-out", "");
   options.profile_path = flags.GetString("profile-out", "");
-  options.serve_metrics = flags.Has("metrics-port");
-  if (options.serve_metrics) {
-    options.metrics_port =
-        static_cast<uint16_t>(flags.GetInt("metrics-port", 0));
+  // Both values come straight from the command line: an out-of-range port
+  // would wrap in the uint16_t and an infinite linger overflows sleep_for.
+  const int64_t port = flags.GetInt("metrics-port", 0);
+  const double linger = flags.GetDouble("metrics-linger", 0.0);
+  if (port < 0 || port > 65535) {
+    LANDMARK_LOG(Error) << "--metrics-port " << port
+                        << " is outside [0, 65535]; not serving metrics";
+  } else if (!std::isfinite(linger) || linger < 0.0) {
+    LANDMARK_LOG(Error) << "--metrics-linger " << linger
+                        << " is negative or not finite; not serving metrics";
+  } else {
+    options.serve_metrics = flags.Has("metrics-port");
+    options.metrics_port = static_cast<uint16_t>(port);
+    options.linger_seconds = linger;
   }
-  options.linger_seconds = flags.GetDouble("metrics-linger", 0.0);
-  options.timeline_path = flags.GetString("timeline-out", "");
-  options.timeline_period_seconds = flags.GetDouble("timeline-period", 1.0);
-  options.slo_spec = flags.GetString("slo", "");
   return TelemetryScope(std::move(options));
 }
 
@@ -179,27 +152,6 @@ void TelemetryScope::Finish() {
     LANDMARK_LOG(Info) << "wrote " << audit_sink_->units_written()
                        << " audit records to " << options_.audit_path;
     audit_sink_.reset();  // flushes and closes the stream
-  }
-  if (!options_.timeline_path.empty() || !options_.slo_spec.empty() ||
-      options_.serve_metrics) {
-    SnapshotCollector& collector = SnapshotCollector::Global();
-    if (collector.running()) {
-      // One final synchronous window covering the tail of the run, then
-      // stop the thread. The ring survives Stop(), so /timelinez keeps
-      // serving the final windows through the linger below.
-      collector.TickOnce();
-      collector.Stop();
-    }
-    if (!options_.timeline_path.empty()) {
-      Status status = collector.WriteJsonl(options_.timeline_path);
-      if (status.ok()) {
-        LANDMARK_LOG(Info) << "wrote " << collector.Windows().size()
-                           << " timeline windows to "
-                           << options_.timeline_path;
-      } else {
-        LANDMARK_LOG(Error) << status.ToString();
-      }
-    }
   }
   if (exporter_ != nullptr) {
     if (options_.linger_seconds > 0.0) {

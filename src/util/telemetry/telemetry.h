@@ -10,13 +10,9 @@
 ///                    (+ /statusz?format=json + /profilez)
 ///   flight_deck.h    activity stacks, SamplingProfiler, StallWatchdog,
 ///                    BatchProgress registry
-///   timeseries.h     SnapshotCollector — windowed metric deltas behind
-///                    /timelinez and --timeline-out
-///   slo.h            SloRegistry — burn-rate tracking behind /sloz and
-///                    the slo/* gauges
 /// plus TelemetryScope, the binary-level wiring for the shared
 /// `--metrics-out` / `--trace-out` / `--audit-out` / `--profile-out` /
-/// `--metrics-port` / `--timeline-out` / `--slo` flags.
+/// `--metrics-port` / `--metrics-linger` flags.
 
 #include <cstdint>
 #include <memory>
@@ -27,8 +23,6 @@
 #include "util/telemetry/http_exporter.h"
 #include "util/telemetry/metrics.h"
 #include "util/telemetry/sink.h"
-#include "util/telemetry/slo.h"
-#include "util/telemetry/timeseries.h"
 #include "util/telemetry/trace.h"
 
 namespace landmark {
@@ -56,15 +50,6 @@ struct TelemetryScopeOptions {
   /// written (`--metrics-linger`), so a scraper can observe the final state
   /// of a short-lived batch before the process exits.
   double linger_seconds = 0.0;
-  /// Windowed time-series JSONL written on Finish (`--timeline-out`). Any
-  /// of timeline_path, slo_spec or serve_metrics arms the global
-  /// SnapshotCollector for the scope's lifetime.
-  std::string timeline_path;
-  /// Collector tick period in seconds (`--timeline-period`, default 1 s).
-  double timeline_period_seconds = 1.0;
-  /// SLO policy spec(s) for SloRegistry (`--slo`), `;`-separated — see
-  /// ParseSloSpecs in util/telemetry/slo.h for the grammar.
-  std::string slo_spec;
 };
 
 /// \brief Lifetime of one instrumented binary run.
@@ -85,8 +70,9 @@ class TelemetryScope {
   /// Back-compat convenience over the two original outputs.
   TelemetryScope(std::string metrics_path, std::string trace_path);
   /// Reads --metrics-out, --trace-out, --audit-out, --profile-out,
-  /// --metrics-port, --metrics-linger, --timeline-out, --timeline-period
-  /// and --slo.
+  /// --metrics-port and --metrics-linger. A port outside [0, 65535] or a
+  /// linger that is negative or not finite is logged as an Error and
+  /// starts neither the exporter nor the linger, as a failed bind does.
   static TelemetryScope FromFlags(const Flags& flags);
 
   TelemetryScope(TelemetryScope&& other) noexcept;

@@ -4,11 +4,14 @@
 // engine_fast_path_test pins for the query fast path. The audit stream
 // itself is checked for the append-order determinism promise: unit lines
 // are byte-identical across thread counts, ordinals are monotone, and
-// every planned unit produced exactly one line.
+// every planned unit produced exactly one line. Histogram exemplars must
+// point back into that stream: each OpenMetrics `ordinal="N"` names the
+// `"unit":N` line of the batch that recorded it.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -21,6 +24,7 @@
 #include "em/heuristic_model.h"
 #include "util/telemetry/audit.h"
 #include "util/telemetry/http_exporter.h"
+#include "util/telemetry/metrics.h"
 
 namespace landmark {
 namespace {
@@ -79,6 +83,20 @@ std::vector<std::string> UnitLines(const std::vector<std::string>& lines) {
     if (line.rfind("{\"type\":\"unit\"", 0) == 0) units.push_back(line);
   }
   return units;
+}
+
+/// Every audit ordinal referenced from an OpenMetrics exemplar annotation.
+std::vector<uint64_t> ExemplarOrdinals(const std::string& body) {
+  std::vector<uint64_t> ordinals;
+  const std::string needle = "# {ordinal=\"";
+  for (size_t pos = body.find(needle); pos != std::string::npos;
+       pos = body.find(needle, pos + needle.size())) {
+    const size_t start = pos + needle.size();
+    const size_t end = body.find('"', start);
+    if (end == std::string::npos) break;
+    ordinals.push_back(std::stoull(body.substr(start, end - start)));
+  }
+  return ordinals;
 }
 
 TEST(EngineAuditTest, AuditAndExporterDoNotChangeExplanations) {
@@ -173,6 +191,45 @@ TEST(EngineAuditTest, SingleRecordPathWritesOneUnitPerExplanation) {
   const std::vector<std::string> units = UnitLines(ReadLines(path));
   ASSERT_EQ(units.size(), direct->size());
   EXPECT_NE(units[0].find("\"record_index\":0"), std::string::npos);
+}
+
+TEST(EngineAuditTest, ExemplarOrdinalsResolveToAuditUnitLines) {
+  const JaccardEmModel model;
+  const EmDataset& dataset = TestDataset();
+  std::vector<const PairRecord*> pairs;
+  for (size_t i = 0; i < 4 && i < dataset.size(); ++i) {
+    pairs.push_back(&dataset.pair(i));
+  }
+  ExplainerOptions explainer_options;
+  explainer_options.num_samples = 64;
+  LandmarkExplainer explainer(GenerationStrategy::kDouble, explainer_options);
+
+  // Exemplars outlive a batch; drop the ones earlier tests in this binary
+  // left behind, so every remaining ordinal belongs to the sink below.
+  MetricsRegistry::Global().Reset();
+  const std::string path =
+      ::testing::TempDir() + "/engine_audit_exemplars.jsonl";
+  auto sink = AuditSink::Open(path);
+  ASSERT_TRUE(sink.ok()) << sink.status().ToString();
+  EngineOptions options;
+  options.num_threads = 4;
+  options.audit_sink = sink->get();
+  ExplainerEngine(options).ExplainBatch(model, pairs, explainer);
+  sink->reset();  // flush before reading
+  const std::vector<std::string> units = UnitLines(ReadLines(path));
+  ASSERT_FALSE(units.empty());
+
+  const std::string body =
+      ToOpenMetricsText(MetricsRegistry::Global().Snapshot());
+  EXPECT_NE(body.find("# EOF"), std::string::npos);
+  const std::vector<uint64_t> ordinals = ExemplarOrdinals(body);
+  ASSERT_FALSE(ordinals.empty());
+  for (uint64_t ordinal : ordinals) {
+    ASSERT_LT(ordinal, units.size());
+    const std::string prefix =
+        "{\"type\":\"unit\",\"unit\":" + std::to_string(ordinal) + ",";
+    EXPECT_EQ(units[ordinal].rfind(prefix, 0), 0u) << units[ordinal];
+  }
 }
 
 TEST(ExplanationQualityTest, SignalsMatchHandComputation) {

@@ -156,6 +156,35 @@ TEST(HistogramTest, ConcurrentRecordsKeepExactCount) {
   EXPECT_EQ(histogram.Count(), static_cast<uint64_t>(kThreads) * kPerThread);
 }
 
+TEST(HistogramExemplarTest, LatestAndPeakPerBucket) {
+  Histogram histogram;
+  ExemplarContext first;
+  first.audit_ordinal = 41;
+  first.has_audit_ordinal = true;
+  first.record_id = 100;
+  ExemplarContext second;
+  second.audit_ordinal = 42;
+  second.has_audit_ordinal = true;
+  second.record_id = 200;
+  // Same bucket, second observation smaller: latest moves, peak stays.
+  LANDMARK_OBSERVE_WITH_EXEMPLAR(histogram, 1.9e-3, first);
+  LANDMARK_OBSERVE_WITH_EXEMPLAR(histogram, 1.1e-3, second);
+
+  const HistogramSnapshot snapshot = histogram.Snapshot("exemplar_seconds");
+  ASSERT_EQ(snapshot.exemplars.size(), 1u);
+  const BucketExemplars& bucket = snapshot.exemplars[0];
+  EXPECT_TRUE(bucket.latest.valid);
+  EXPECT_EQ(bucket.latest.audit_ordinal, 42u);
+  EXPECT_EQ(bucket.latest.record_id, 200);
+  EXPECT_DOUBLE_EQ(bucket.latest.value, 1.1e-3);
+  EXPECT_TRUE(bucket.peak.valid);
+  EXPECT_EQ(bucket.peak.audit_ordinal, 41u);
+  EXPECT_DOUBLE_EQ(bucket.peak.value, 1.9e-3);
+  // Reset drops the slots with the counts.
+  histogram.Reset();
+  EXPECT_TRUE(histogram.Snapshot("x").exemplars.empty());
+}
+
 TEST(MetricsRegistryTest, SameNameReturnsSameInstance) {
   MetricsRegistry registry;
   Counter& a = registry.GetCounter("x");

@@ -14,9 +14,8 @@
 // as JSON), --trace-out=FILE (Chrome/Perfetto trace of the run),
 // --audit-out=FILE (per-explanation flight recorder), --profile-out=FILE
 // (folded-stack sampling profile), --metrics-port=N (live Prometheus
-// /metrics endpoint plus /statusz flight deck on 127.0.0.1),
-// --timeline-out=FILE (windowed time-series JSONL) and --slo=SPEC
-// (burn-rate SLO policies on /sloz).
+// /metrics endpoint plus /statusz flight deck on 127.0.0.1) and
+// --metrics-linger=S (keep that endpoint up after the run).
 //
 // Examples:
 //   landmark_cli generate --dataset S-AG --output sag.csv
@@ -68,16 +67,10 @@ every command also accepts:
   --profile-out FILE   sample worker activity, write folded flamegraph
                        stacks ("engine/query;model/query COUNT")
   --metrics-port N     serve live /metrics, /healthz, /statusz,
-                       /statusz?format=json, /profilez?seconds=N,
-                       /timelinez, /sloz on 127.0.0.1:N (0 = ephemeral;
-                       port printed on stdout)
+                       /statusz?format=json, /profilez?seconds=N
+                       on 127.0.0.1:N (0..65535, 0 = ephemeral; port
+                       printed on stdout)
   --metrics-linger S   keep the exporter up S seconds after the run
-  --timeline-out FILE  windowed time-series deltas as JSON lines (arms the
-                       1 s snapshot collector; see also /timelinez)
-  --timeline-period S  collector period in seconds (default 1)
-  --slo SPEC           register SLO policies, ';'-separated
-                       NAME=METRIC,pQQ<THRESHOLD,window=SECONDS
-                       [,objective=F] — burn rates on /sloz and slo/*
 
 dataset codes: S-BR S-IA S-FZ S-DA S-DG S-AG S-WA T-AB D-IA D-DA D-DG D-WA
 )";

@@ -616,14 +616,13 @@ void CollectMetricUses(const FileText& file, std::vector<MetricUse>* out) {
 struct DocEntry {
   int line = 0;
   std::string name;        // exact documented name
-  bool is_prefix = false;  // documented as NAME[/SUFFIX] or NAME/N
+  bool is_prefix = false;  // documented as NAME/N
   bool used = false;
 };
 
 /// Parses the backticked names out of the first column of the "Metric name
-/// contract" table. `model/queries[/NAME]` documents both the exact name
-/// and the dynamic `model/queries/` prefix; `pool/worker_busy_seconds/N`
-/// documents only the prefix.
+/// contract" table. `pool/worker_busy_seconds/N` documents the dynamic
+/// `pool/worker_busy_seconds/` prefix; any other name is exact.
 std::vector<DocEntry> ParseMetricDocs(const std::vector<std::string>& lines,
                                       int* section_line) {
   std::vector<DocEntry> out;
@@ -648,13 +647,7 @@ std::vector<DocEntry> ParseMetricDocs(const std::vector<std::string>& lines,
       if (close == std::string::npos) break;
       std::string name = cell.substr(tick + 1, close - tick - 1);
       const int doc_line = static_cast<int>(i) + 1;
-      const size_t bracket = name.find("[/");
-      if (bracket != std::string::npos) {
-        const std::string base = name.substr(0, bracket);
-        out.push_back(DocEntry{doc_line, base, false});
-        out.push_back(DocEntry{doc_line, base + "/", true});
-      } else if (name.size() > 2 && name.compare(name.size() - 2, 2, "/N") ==
-                                        0) {
+      if (name.size() > 2 && name.compare(name.size() - 2, 2, "/N") == 0) {
         out.push_back(
             DocEntry{doc_line, name.substr(0, name.size() - 1), true});
       } else if (!name.empty()) {
