@@ -12,8 +12,10 @@
 #               an explicit second pass re-runs the telemetry-, engine-
 #               and flight-deck-focused tests (TaskGraph / EngineScheduler /
 #               EngineOneRecord / FlightDeck / Profiler / Stall suites,
-#               including the concurrent-scrape-during-batch test) so a race
-#               there fails loudly even when triaging the full run
+#               including the concurrent-scrape-during-batch test, plus the
+#               EmTraining / FeatureExtractor / PreparedFeatures suites that
+#               run training's concurrent ExtractInto and PredictProba) so a
+#               race there fails loudly even when triaging the full run
 #   deadlock-debug  dedicated -DLANDMARK_DEADLOCK_DEBUG=ON build (no
 #               sanitizers): death tests for the runtime lock-order
 #               detector, the engine/telemetry suites under
@@ -56,7 +58,7 @@ done
 
 echo "=== [tsan] telemetry + scheduler focused re-run ==="
 ctest --preset tsan -j "$JOBS" -R \
-  'Counter|Gauge|Histogram|MetricsRegistry|TraceRecorder|EngineTelemetry|ThreadPool|HttpExporter|Audit|Prometheus|TaskGraph|Scheduler|EngineOneRecord|FlightDeck|Profiler|Activity|Stall'
+  'Counter|Gauge|Histogram|MetricsRegistry|TraceRecorder|EngineTelemetry|ThreadPool|HttpExporter|Audit|Prometheus|TaskGraph|Scheduler|EngineOneRecord|FlightDeck|Profiler|Activity|Stall|EmTraining|FeatureExtractor|PreparedFeatures'
 
 echo "=== [default] telemetry outputs ==="
 cmake -B build -S . -DLANDMARK_WERROR=ON >/dev/null

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <functional>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 
@@ -628,14 +627,9 @@ std::string EngineStats::ToString() const {
 }
 
 ExplainerEngine::ExplainerEngine(EngineOptions options) : options_(options) {
-  // Hard cap: a worker count beyond this is either a typo or a negative
-  // value cast to size_t; spawning it would abort in the pool.
-  constexpr size_t kMaxThreads = 256;
-  num_threads_ = options_.num_threads;
-  if (num_threads_ == 0) {
-    num_threads_ = std::max(1u, std::thread::hardware_concurrency());
-  }
-  num_threads_ = std::min(num_threads_, kMaxThreads);
+  num_threads_ = options_.num_threads == 0
+                     ? DefaultThreadCount()
+                     : std::min(options_.num_threads, kMaxPoolThreads);
   if (num_threads_ > 1) pool_ = std::make_unique<ThreadPool>(num_threads_);
   if (options_.stall_threshold > 0.0) {
     StallWatchdogOptions watchdog_options;

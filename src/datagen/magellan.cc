@@ -65,8 +65,14 @@ CorruptionOptions RightCorruption() { return CorruptionOptions{}; }
 
 Result<EmDataset> GenerateMagellanDataset(const MagellanDatasetSpec& spec,
                                           const MagellanGenOptions& options) {
-  if (options.size_scale <= 0.0) {
-    return Status::InvalidArgument("size_scale must be > 0");
+  if (!std::isfinite(options.size_scale) || options.size_scale <= 0.0) {
+    return Status::InvalidArgument("size_scale must be finite and > 0");
+  }
+  if (static_cast<double>(spec.size) * options.size_scale >
+      kMaxScaledDatasetSize) {
+    return Status::InvalidArgument(
+        "size_scale too large: the scaled dataset would exceed " +
+        std::to_string(static_cast<size_t>(kMaxScaledDatasetSize)) + " pairs");
   }
   const size_t size = std::max<size_t>(
       4, static_cast<size_t>(std::lround(spec.size * options.size_scale)));

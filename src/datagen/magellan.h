@@ -29,10 +29,17 @@ const std::vector<MagellanDatasetSpec>& MagellanBenchmark();
 /// Looks a spec up by its code ("S-DA"); NotFound when absent.
 Result<MagellanDatasetSpec> FindMagellanSpec(const std::string& code);
 
+/// Largest dataset GenerateMagellanDataset builds: `spec.size * size_scale`
+/// above this is InvalidArgument. It is 100x the largest Table 1 dataset
+/// (S-DG, 28,707 pairs) rounded up, and keeps the size far from where
+/// std::lround overflows.
+inline constexpr double kMaxScaledDatasetSize = 3e6;
+
 /// \brief Options controlling the synthetic pair construction.
 struct MagellanGenOptions {
   /// Multiplies the spec size (0.1 generates a 10% subsample-scale dataset
-  /// for fast tests; match rate is preserved).
+  /// for fast tests; match rate is preserved). Must be finite and > 0, and
+  /// the scaled size must not exceed kMaxScaledDatasetSize.
   double size_scale = 1.0;
   /// Fraction of non-matching pairs built from domain siblings (hard
   /// negatives); the remainder pairs two unrelated entities.

@@ -65,4 +65,26 @@ void EmModel::ReportQueryTelemetry(size_t num_pairs, double seconds) const {
   metrics.query_batch_seconds.Record(seconds);
 }
 
+EmModelReport HeldOutReport(const EmModel& model, const EmDataset& dataset,
+                            const std::vector<size_t>& test,
+                            ThreadPool& pool) {
+  EmModelReport report;
+  if (test.empty()) return report;
+  std::vector<int> y_test(test.size()), y_pred(test.size());
+  pool.ParallelFor(test.size(), [&](size_t begin, size_t end) {
+    for (size_t r = begin; r < end; ++r) {
+      y_pred[r] = model.PredictProba(dataset.pair(test[r])) >= 0.5 ? 1 : 0;
+    }
+  });
+  for (size_t r = 0; r < test.size(); ++r) {
+    y_test[r] = dataset.pair(test[r]).is_match() ? 1 : 0;
+  }
+  report.confusion = ComputeConfusion(y_test, y_pred);
+  report.f1 = report.confusion.F1();
+  report.precision = report.confusion.Precision();
+  report.recall = report.confusion.Recall();
+  report.accuracy = report.confusion.Accuracy();
+  return report;
+}
+
 }  // namespace landmark

@@ -4,9 +4,12 @@
 #include <string>
 #include <vector>
 
+#include "data/em_dataset.h"
 #include "data/pair_record.h"
 #include "em/prepared_batch.h"
+#include "ml/metrics.h"
 #include "util/result.h"
+#include "util/thread_pool.h"
 
 namespace landmark {
 
@@ -86,6 +89,22 @@ class EmModel {
   /// once per range, never per pair.
   void ReportQueryTelemetry(size_t num_pairs, double seconds) const;
 };
+
+/// \brief Quality of a trained EM model on its held-out test split.
+struct EmModelReport {
+  ConfusionMatrix confusion;
+  double f1 = 0.0;
+  double precision = 0.0;
+  double recall = 0.0;
+  double accuracy = 0.0;
+};
+
+/// Thresholds model.PredictProba at 0.5 for each pair of `test` on `pool`,
+/// one pre-sized slot per pair, then builds the confusion matrix serially
+/// in `test` order, so the report is the same at any pool size. An empty
+/// `test` gives a zero report.
+EmModelReport HeldOutReport(const EmModel& model, const EmDataset& dataset,
+                            const std::vector<size_t>& test, ThreadPool& pool);
 
 }  // namespace landmark
 

@@ -86,32 +86,26 @@ Result<std::unique_ptr<EmbeddingEmModel>> EmbeddingEmModel::Train(
   LANDMARK_ASSIGN_OR_RETURN(
       EmDatasetSplit split,
       dataset.Split(options.valid_fraction, options.test_fraction, rng));
+  ThreadPool pool(DefaultThreadCount());
 
   Matrix x_train(split.train.size(),
                  dataset.entity_schema()->num_attributes() * 2 *
                      options.embedding_dim);
+  pool.ParallelFor(split.train.size(), [&](size_t begin, size_t end) {
+    for (size_t r = begin; r < end; ++r) {
+      Vector features = model->Compose(dataset.pair(split.train[r]));
+      std::copy(features.begin(), features.end(), x_train.row(r));
+    }
+  });
   std::vector<int> y_train;
   y_train.reserve(split.train.size());
-  for (size_t r = 0; r < split.train.size(); ++r) {
-    Vector features = model->Compose(dataset.pair(split.train[r]));
-    std::copy(features.begin(), features.end(), x_train.row(r));
-    y_train.push_back(dataset.pair(split.train[r]).is_match() ? 1 : 0);
+  for (size_t i : split.train) {
+    y_train.push_back(dataset.pair(i).is_match() ? 1 : 0);
   }
 
   LANDMARK_RETURN_NOT_OK(model->mlp_.Fit(x_train, y_train, options.mlp));
 
-  std::vector<int> y_test, y_pred;
-  for (size_t i : split.test) {
-    y_test.push_back(dataset.pair(i).is_match() ? 1 : 0);
-    y_pred.push_back(model->PredictProba(dataset.pair(i)) >= 0.5 ? 1 : 0);
-  }
-  if (!y_test.empty()) {
-    model->report_.confusion = ComputeConfusion(y_test, y_pred);
-    model->report_.f1 = model->report_.confusion.F1();
-    model->report_.precision = model->report_.confusion.Precision();
-    model->report_.recall = model->report_.confusion.Recall();
-    model->report_.accuracy = model->report_.confusion.Accuracy();
-  }
+  model->report_ = HeldOutReport(*model, dataset, split.test, pool);
   return model;
 }
 

@@ -6,7 +6,6 @@
 
 #include "data/em_dataset.h"
 #include "em/em_model.h"
-#include "em/logreg_em_model.h"
 #include "ml/mlp.h"
 
 namespace landmark {

@@ -47,11 +47,14 @@ void FeatureExtractor::ExtractPrepared(const PreparedPairBatch& prepared,
 }
 
 Matrix FeatureExtractor::ExtractBatch(const EmDataset& dataset,
-                                      const std::vector<size_t>& indices) const {
+                                      const std::vector<size_t>& indices,
+                                      ThreadPool& pool) const {
   Matrix x(indices.size(), num_features());
-  for (size_t r = 0; r < indices.size(); ++r) {
-    ExtractInto(dataset.pair(indices[r]), x.row(r));
-  }
+  pool.ParallelFor(indices.size(), [&](size_t begin, size_t end) {
+    for (size_t r = begin; r < end; ++r) {
+      ExtractInto(dataset.pair(indices[r]), x.row(r));
+    }
+  });
   return x;
 }
 

@@ -12,6 +12,7 @@
 #include "em/prepared_batch.h"
 #include "ml/linalg.h"
 #include "util/result.h"
+#include "util/thread_pool.h"
 
 namespace landmark {
 
@@ -56,9 +57,11 @@ class FeatureExtractor {
   void ExtractPrepared(const PreparedPairBatch& prepared, size_t pair_index,
                        double* out) const;
 
-  /// Extracts a design matrix for the given pair indices of `dataset`.
+  /// Extracts a design matrix for the given pair indices of `dataset`, one
+  /// ExtractInto per row on `pool`; the same matrix at any pool size.
   Matrix ExtractBatch(const EmDataset& dataset,
-                      const std::vector<size_t>& indices) const;
+                      const std::vector<size_t>& indices,
+                      ThreadPool& pool) const;
 
  private:
   std::shared_ptr<const Schema> schema_;

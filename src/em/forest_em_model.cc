@@ -19,8 +19,9 @@ Result<std::unique_ptr<ForestEmModel>> ForestEmModel::Train(
   LANDMARK_ASSIGN_OR_RETURN(
       EmDatasetSplit split,
       dataset.Split(options.valid_fraction, options.test_fraction, rng));
+  ThreadPool pool(DefaultThreadCount());
 
-  Matrix x_train = model->extractor_->ExtractBatch(dataset, split.train);
+  Matrix x_train = model->extractor_->ExtractBatch(dataset, split.train, pool);
   std::vector<int> y_train;
   y_train.reserve(split.train.size());
   size_t n_pos = 0;
@@ -47,18 +48,7 @@ Result<std::unique_ptr<ForestEmModel>> ForestEmModel::Train(
   LANDMARK_RETURN_NOT_OK(model->forest_.Fit(x_train, y_train, options.forest,
                                             sample_weight));
 
-  std::vector<int> y_test, y_pred;
-  for (size_t i : split.test) {
-    y_test.push_back(dataset.pair(i).is_match() ? 1 : 0);
-    y_pred.push_back(model->PredictProba(dataset.pair(i)) >= 0.5 ? 1 : 0);
-  }
-  if (!y_test.empty()) {
-    model->report_.confusion = ComputeConfusion(y_test, y_pred);
-    model->report_.f1 = model->report_.confusion.F1();
-    model->report_.precision = model->report_.confusion.Precision();
-    model->report_.recall = model->report_.confusion.Recall();
-    model->report_.accuracy = model->report_.confusion.Accuracy();
-  }
+  model->report_ = HeldOutReport(*model, dataset, split.test, pool);
   return model;
 }
 

@@ -7,7 +7,6 @@
 #include "data/em_dataset.h"
 #include "em/em_model.h"
 #include "em/feature_extractor.h"
-#include "em/logreg_em_model.h"
 #include "ml/decision_tree.h"
 
 namespace landmark {

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "util/arena.h"
-
 #include "util/telemetry/flight_deck.h"
 #include "util/telemetry/trace.h"
 #include "util/timer.h"
@@ -22,9 +21,10 @@ Result<std::unique_ptr<LogRegEmModel>> LogRegEmModel::Train(
   LANDMARK_ASSIGN_OR_RETURN(
       EmDatasetSplit split,
       dataset.Split(options.valid_fraction, options.test_fraction, rng));
+  ThreadPool pool(DefaultThreadCount());
 
   Matrix x_train =
-      model->extractor_->ExtractBatch(dataset, split.train);
+      model->extractor_->ExtractBatch(dataset, split.train, pool);
   std::vector<int> y_train;
   y_train.reserve(split.train.size());
   for (size_t i : split.train) {
@@ -36,22 +36,7 @@ Result<std::unique_ptr<LogRegEmModel>> LogRegEmModel::Train(
   LANDMARK_RETURN_NOT_OK(
       model->classifier_.Fit(x_train, y_train, options.logreg));
 
-  // Held-out report.
-  std::vector<int> y_test, y_pred;
-  y_test.reserve(split.test.size());
-  y_pred.reserve(split.test.size());
-  for (size_t i : split.test) {
-    y_test.push_back(dataset.pair(i).is_match() ? 1 : 0);
-    y_pred.push_back(
-        model->PredictProba(dataset.pair(i)) >= 0.5 ? 1 : 0);
-  }
-  if (!y_test.empty()) {
-    model->report_.confusion = ComputeConfusion(y_test, y_pred);
-    model->report_.f1 = model->report_.confusion.F1();
-    model->report_.precision = model->report_.confusion.Precision();
-    model->report_.recall = model->report_.confusion.Recall();
-    model->report_.accuracy = model->report_.confusion.Accuracy();
-  }
+  model->report_ = HeldOutReport(*model, dataset, split.test, pool);
   return model;
 }
 

@@ -9,7 +9,6 @@
 #include "em/em_model.h"
 #include "em/feature_extractor.h"
 #include "ml/logistic_regression.h"
-#include "ml/metrics.h"
 #include "ml/scaler.h"
 #include "util/result.h"
 #include "util/rng.h"
@@ -22,15 +21,6 @@ struct LogRegEmModelOptions {
   double valid_fraction = 0.2;
   double test_fraction = 0.2;
   uint64_t split_seed = 17;
-};
-
-/// \brief Quality of a trained EM model on its held-out test split.
-struct EmModelReport {
-  ConfusionMatrix confusion;
-  double f1 = 0.0;
-  double precision = 0.0;
-  double recall = 0.0;
-  double accuracy = 0.0;
 };
 
 /// \brief The EM model the paper explains: Logistic Regression over

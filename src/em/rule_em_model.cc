@@ -83,8 +83,9 @@ Result<std::unique_ptr<RuleEmModel>> RuleEmModel::Train(
   LANDMARK_ASSIGN_OR_RETURN(
       EmDatasetSplit split,
       dataset.Split(options.valid_fraction, options.test_fraction, rng));
+  ThreadPool pool(DefaultThreadCount());
 
-  Matrix x = model->extractor_->ExtractBatch(dataset, split.train);
+  Matrix x = model->extractor_->ExtractBatch(dataset, split.train, pool);
   std::vector<int> y;
   y.reserve(split.train.size());
   for (size_t i : split.train) {
@@ -159,18 +160,7 @@ Result<std::unique_ptr<RuleEmModel>> RuleEmModel::Train(
     return Status::Internal("rule learner found no acceptable rule");
   }
 
-  std::vector<int> y_test, y_pred;
-  for (size_t i : split.test) {
-    y_test.push_back(dataset.pair(i).is_match() ? 1 : 0);
-    y_pred.push_back(model->PredictProba(dataset.pair(i)) >= 0.5 ? 1 : 0);
-  }
-  if (!y_test.empty()) {
-    model->report_.confusion = ComputeConfusion(y_test, y_pred);
-    model->report_.f1 = model->report_.confusion.F1();
-    model->report_.precision = model->report_.confusion.Precision();
-    model->report_.recall = model->report_.confusion.Recall();
-    model->report_.accuracy = model->report_.confusion.Accuracy();
-  }
+  model->report_ = HeldOutReport(*model, dataset, split.test, pool);
   return model;
 }
 

@@ -22,6 +22,11 @@ thread_local WorkerIdentity current_worker;
 
 }  // namespace
 
+size_t DefaultThreadCount() {
+  return std::min<size_t>(std::max(1u, std::thread::hardware_concurrency()),
+                          kMaxPoolThreads);
+}
+
 ThreadPool::ThreadPool(size_t num_threads) {
   MetricsRegistry& registry = MetricsRegistry::Global();
   tasks_total_ = &registry.GetCounter("pool/tasks");

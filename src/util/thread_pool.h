@@ -51,6 +51,16 @@ namespace landmark {
 /// utilization relative to wall time). Workers also register on the
 /// flight-deck ActivityRegistry as `pool-worker-<i>` so /statusz and the
 /// sampling profiler can attribute their current activity.
+/// Upper bound on a pool's worker count. A larger request is either a typo
+/// or a negative value cast to size_t; spawning it would abort in the pool.
+inline constexpr size_t kMaxPoolThreads = 256;
+
+/// Worker count for a pool the caller does not size explicitly:
+/// max(1, std::thread::hardware_concurrency()), capped at kMaxPoolThreads.
+/// The engine uses it for `num_threads == 0`; model training sizes its
+/// per-Train pool with it.
+size_t DefaultThreadCount();
+
 class ThreadPool {
  public:
   explicit ThreadPool(size_t num_threads);

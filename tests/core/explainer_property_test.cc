@@ -123,20 +123,30 @@ TEST_P(ExplainerPropertyTest, InvariantsHoldOnSampledRecords) {
   }
 }
 
-std::string CaseName(const ::testing::TestParamInfo<PropertyCase>& info) {
-  std::string technique;
-  switch (info.param.technique) {
-    case TechniqueKind::kSingle: technique = "Single"; break;
-    case TechniqueKind::kDouble: technique = "Double"; break;
-    case TechniqueKind::kAuto: technique = "Auto"; break;
-    case TechniqueKind::kLime: technique = "Lime"; break;
-    case TechniqueKind::kCopy: technique = "Copy"; break;
+std::string TechniqueName(TechniqueKind kind) {
+  switch (kind) {
+    case TechniqueKind::kSingle: return "Single";
+    case TechniqueKind::kDouble: return "Double";
+    case TechniqueKind::kAuto: return "Auto";
+    case TechniqueKind::kLime: return "Lime";
+    case TechniqueKind::kCopy: return "Copy";
   }
+  return "?";
+}
+
+// Without it gtest prints the struct as raw bytes (std::string's heap
+// pointer included), and gtest_discover_tests bakes that into every ctest
+// name, so each build would list different test names.
+void PrintTo(const PropertyCase& c, std::ostream* os) {
+  *os << TechniqueName(c.technique) << " on " << c.dataset_code;
+}
+
+std::string CaseName(const ::testing::TestParamInfo<PropertyCase>& info) {
   std::string code = info.param.dataset_code;
   for (char& c : code) {
     if (c == '-') c = '_';
   }
-  return technique + "_" + code;
+  return TechniqueName(info.param.technique) + "_" + code;
 }
 
 std::vector<PropertyCase> AllCases() {

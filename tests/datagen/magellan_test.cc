@@ -156,6 +156,23 @@ TEST(GenerateDatasetTest, RejectsBadScale) {
       GenerateMagellanDataset(*FindMagellanSpec("S-BR"), options).ok());
 }
 
+TEST(GenerateDatasetTest, RejectsNonFiniteAndOversizedScale) {
+  const MagellanDatasetSpec spec = *FindMagellanSpec("S-BR");
+  MagellanGenOptions options;
+  // `--scale nan` / `inf` reach here through strtod; 1e300 would overflow
+  // std::lround. Each must be a clean InvalidArgument, not a throw.
+  for (double scale : {std::nan(""), HUGE_VAL, -HUGE_VAL, 1e300}) {
+    options.size_scale = scale;
+    Result<EmDataset> dataset = GenerateMagellanDataset(spec, options);
+    ASSERT_FALSE(dataset.ok()) << "scale " << scale;
+    EXPECT_TRUE(dataset.status().IsInvalidArgument()) << "scale " << scale;
+  }
+  options.size_scale = 0.5;
+  Result<EmDataset> half = GenerateMagellanDataset(spec, options);
+  ASSERT_TRUE(half.ok()) << half.status().ToString();
+  EXPECT_EQ(half->size(), static_cast<size_t>(std::lround(spec.size * 0.5)));
+}
+
 TEST(GenerateDatasetTest, RoundTripsThroughCsv) {
   MagellanDatasetSpec spec = *FindMagellanSpec("S-BR");
   EmDataset dataset = *GenerateMagellanDataset(spec);

@@ -4,6 +4,7 @@
 #include "em/feature_extractor.h"
 #include "em/heuristic_model.h"
 #include "em/logreg_em_model.h"
+#include "util/thread_pool.h"
 
 namespace landmark {
 namespace {
@@ -49,7 +50,8 @@ TEST(FeatureExtractorTest, BatchMatchesSingle) {
   ASSERT_TRUE(dataset.Append(MakePair(schema, "a b", "1", "a", "1")).ok());
   ASSERT_TRUE(dataset.Append(MakePair(schema, "x", "2", "y", "3")).ok());
   FeatureExtractor fx(schema);
-  Matrix batch = fx.ExtractBatch(dataset, {0, 1});
+  ThreadPool pool(2);
+  Matrix batch = fx.ExtractBatch(dataset, {0, 1}, pool);
   for (size_t r = 0; r < 2; ++r) {
     Vector single = fx.Extract(dataset.pair(r));
     for (size_t c = 0; c < fx.num_features(); ++c) {

@@ -8,6 +8,7 @@
 #include "em/features.h"
 #include "em/prepared_batch.h"
 #include "text/token_cache.h"
+#include "util/thread_pool.h"
 
 namespace landmark {
 namespace {
@@ -180,13 +181,19 @@ TEST(PreparedFeaturesTest, ExtractBatchMatchesRowWiseExtract) {
 
   std::vector<size_t> indices;
   for (size_t i = 0; i < dataset.size(); ++i) indices.push_back(i);
-  const Matrix x = extractor.ExtractBatch(dataset, indices);
-  ASSERT_EQ(x.rows(), dataset.size());
-  ASSERT_EQ(x.cols(), extractor.num_features());
-  for (size_t r = 0; r < dataset.size(); ++r) {
-    const Vector expected = extractor.Extract(dataset.pair(r));
-    for (size_t f = 0; f < expected.size(); ++f) {
-      EXPECT_EQ(x.row(r)[f], expected[f]) << "row " << r << " feature " << f;
+  // One pool without workers, one with fewer chunks than rows and one with
+  // more workers than rows (one row per chunk).
+  for (size_t threads : {1, 2, 4}) {
+    ThreadPool pool(threads);
+    const Matrix x = extractor.ExtractBatch(dataset, indices, pool);
+    ASSERT_EQ(x.rows(), dataset.size());
+    ASSERT_EQ(x.cols(), extractor.num_features());
+    for (size_t r = 0; r < dataset.size(); ++r) {
+      const Vector expected = extractor.Extract(dataset.pair(r));
+      for (size_t f = 0; f < expected.size(); ++f) {
+        EXPECT_EQ(x.row(r)[f], expected[f])
+            << threads << " threads, row " << r << " feature " << f;
+      }
     }
   }
 }
