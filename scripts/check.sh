@@ -14,8 +14,11 @@
 #               EngineOneRecord / FlightDeck / Profiler / Stall suites,
 #               including the concurrent-scrape-during-batch test, plus the
 #               EmTraining / FeatureExtractor / PreparedFeatures suites that
-#               run training's concurrent ExtractInto and PredictProba) so a
-#               race there fails loudly even when triaging the full run
+#               run training's concurrent ExtractInto and PredictProba, and
+#               the Levenshtein / Jaro / Simd / TokenizedValue / TokenCache
+#               suites whose string kernels keep per-thread scratch and run
+#               from concurrent query nodes) so a race there fails loudly
+#               even when triaging the full run
 #   deadlock-debug  dedicated -DLANDMARK_DEADLOCK_DEBUG=ON build (no
 #               sanitizers): death tests for the runtime lock-order
 #               detector, the engine/telemetry suites under
@@ -58,7 +61,7 @@ done
 
 echo "=== [tsan] telemetry + scheduler focused re-run ==="
 ctest --preset tsan -j "$JOBS" -R \
-  'Counter|Gauge|Histogram|MetricsRegistry|TraceRecorder|EngineTelemetry|ThreadPool|HttpExporter|Audit|Prometheus|TaskGraph|Scheduler|EngineOneRecord|FlightDeck|Profiler|Activity|Stall|EmTraining|FeatureExtractor|PreparedFeatures'
+  'Counter|Gauge|Histogram|MetricsRegistry|TraceRecorder|EngineTelemetry|ThreadPool|HttpExporter|Audit|Prometheus|TaskGraph|Scheduler|EngineOneRecord|FlightDeck|Profiler|Activity|Stall|EmTraining|FeatureExtractor|PreparedFeatures|Levenshtein|Jaro|Simd|TokenizedValue|TokenCache'
 
 echo "=== [default] telemetry outputs ==="
 cmake -B build -S . -DLANDMARK_WERROR=ON >/dev/null

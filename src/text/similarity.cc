@@ -12,32 +12,12 @@
 namespace landmark {
 
 size_t LevenshteinDistance(std::string_view a, std::string_view b) {
-  if (a.size() > b.size()) std::swap(a, b);
-  const size_t m = a.size();
-  const size_t n = b.size();
-  if (m == 0) return n;
-
   // Myers' bit-parallel algorithm computes the identical distance (it is
-  // the same DP, carried in bit deltas) in one word-op column step instead
-  // of an O(m) row — the dominant cost of the edit-distance feature. The
-  // pattern must fit one machine word; longer strings take the DP below.
-  if (m <= 64) {
-    return simd::MyersLevenshtein(a, b);
-  }
-
-  std::vector<size_t> prev(m + 1);
-  std::vector<size_t> curr(m + 1);
-  for (size_t i = 0; i <= m; ++i) prev[i] = i;
-
-  for (size_t j = 1; j <= n; ++j) {
-    curr[0] = j;
-    for (size_t i = 1; i <= m; ++i) {
-      size_t cost = (a[i - 1] == b[j - 1]) ? 0 : 1;
-      curr[i] = std::min({prev[i] + 1, curr[i - 1] + 1, prev[i - 1] + cost});
-    }
-    std::swap(prev, curr);
-  }
-  return prev[m];
+  // the same DP, carried in bit deltas) in one word op per 64 rows of a
+  // column, at every length. The shorter string is the pattern, which keeps
+  // the word count per column step low.
+  if (a.size() > b.size()) std::swap(a, b);
+  return simd::MyersLevenshtein(a, b);
 }
 
 double LevenshteinSimilarity(std::string_view a, std::string_view b) {
@@ -53,47 +33,14 @@ double JaroSimilarity(std::string_view a, std::string_view b) {
   if (la == 0 && lb == 0) return 1.0;
   if (la == 0 || lb == 0) return 0.0;
 
-  // Bit-parallel match counting picks the same greedy matches with one
-  // word op per character of `a` (util/simd.h); identical counts feed the
-  // identical formula, so the result is bit-for-bit the scalar one. Both
-  // strings must fit one machine word; longer ones take the scan below.
-  if (la <= 64 && lb <= 64) {
-    size_t matches = 0;
-    size_t transpositions = 0;
-    simd::JaroCounts(a, b, &matches, &transpositions);
-    if (matches == 0) return 0.0;
-    const double m = static_cast<double>(matches);
-    return (m / la + m / lb + (m - transpositions / 2.0) / m) / 3.0;
-  }
-
-  const size_t window =
-      std::max<size_t>(1, std::max(la, lb) / 2) - 1;
-  std::vector<bool> a_matched(la, false);
-  std::vector<bool> b_matched(lb, false);
-
+  // Bit-parallel match counting picks the same greedy matches as the
+  // classic window scan, a word of candidates at a time (util/simd.h);
+  // identical counts feed the identical formula, so the result is
+  // bit-for-bit the scan's.
   size_t matches = 0;
-  for (size_t i = 0; i < la; ++i) {
-    size_t lo = i > window ? i - window : 0;
-    size_t hi = std::min(lb, i + window + 1);
-    for (size_t j = lo; j < hi; ++j) {
-      if (b_matched[j] || a[i] != b[j]) continue;
-      a_matched[i] = true;
-      b_matched[j] = true;
-      ++matches;
-      break;
-    }
-  }
-  if (matches == 0) return 0.0;
-
-  // Count transpositions over the matched subsequences.
   size_t transpositions = 0;
-  size_t j = 0;
-  for (size_t i = 0; i < la; ++i) {
-    if (!a_matched[i]) continue;
-    while (!b_matched[j]) ++j;
-    if (a[i] != b[j]) ++transpositions;
-    ++j;
-  }
+  simd::JaroCounts(a, b, &matches, &transpositions);
+  if (matches == 0) return 0.0;
   const double m = static_cast<double>(matches);
   return (m / la + m / lb + (m - transpositions / 2.0) / m) / 3.0;
 }
@@ -177,6 +124,17 @@ double MongeElkanSimilarity(const std::vector<std::string>& a,
     double best = 0.0;
     for (const auto& tb : b) {
       best = std::max(best, JaroWinklerSimilarity(ta, tb));
+      // Jaro-Winkler never exceeds 1.0, so once `best` is 1.0 no later
+      // token can change it and the scan may stop with the same bits. In
+      // doubles: m <= la, lb and t/2 >= 0 make each of the three Jaro terms
+      // round to at most 1 (rounding is monotonic and 1 is exact), so their
+      // sum rounds to at most 3 and jaro to at most 1. If jaro == 1, the
+      // Winkler term adds p·0.1·0 = 0. If jaro < 1, the term is at most
+      // ~0.4·(1 − jaro), so jaro + term lies at least 0.6·(1 − jaro) below
+      // 1. For jaro < 0.5 that gap exceeds 0.3; for jaro >= 0.5, 1 − jaro
+      // is exact and at least 2^-53, the spacing of doubles just below 1,
+      // and a gap over half that spacing cannot round up to 1.
+      if (best == 1.0) break;
     }
     total += best;
   }

@@ -12,17 +12,15 @@ namespace landmark {
 
 namespace {
 
-/// Big-endian zero-padded pack of the first `width` bytes of `s` into an
-/// unsigned integer. For NUL-free strings, unsigned order of the packed
-/// keys equals lexicographic order truncated to `width` bytes.
-template <typename Key>
-Key PackKey(const std::string& s) {
-  constexpr size_t width = sizeof(Key);
-  Key key = 0;
-  const size_t n = std::min(s.size(), width);
+/// Big-endian zero-padded pack of the first 8 bytes of `s`. For NUL-free
+/// strings, unsigned order of the keys equals lexicographic order truncated
+/// to 8 bytes.
+uint64_t TokenKey(const std::string& s) {
+  uint64_t key = 0;
+  const size_t n = std::min<size_t>(s.size(), 8);
   for (size_t i = 0; i < n; ++i) {
-    key |= static_cast<Key>(static_cast<unsigned char>(s[i]))
-           << ((width - 1 - i) * 8);
+    key |= static_cast<uint64_t>(static_cast<unsigned char>(s[i]))
+           << ((7 - i) * 8);
   }
   return key;
 }
@@ -31,41 +29,27 @@ bool ContainsNul(const std::string& s) {
   return s.find('\0') != std::string::npos;
 }
 
-/// Sorted distinct elements of `items` (the set the std::set-based kernels
-/// build implicitly).
-std::vector<std::string> SortedDistinct(std::vector<std::string> items) {
-  std::sort(items.begin(), items.end());
-  items.erase(std::unique(items.begin(), items.end()), items.end());
-  return items;
-}
-
-/// Intersection size of two sorted distinct ranges (linear merge).
-size_t SortedIntersectionSize(const std::vector<std::string>& a,
-                              const std::vector<std::string>& b) {
-  size_t i = 0, j = 0, n = 0;
-  while (i < a.size() && j < b.size()) {
-    const int cmp = a[i].compare(b[j]);
-    if (cmp < 0) {
-      ++i;
-    } else if (cmp > 0) {
-      ++j;
-    } else {
-      ++n;
-      ++i;
-      ++j;
+/// Sorted distinct keys of the grams QGrams(text, 3) yields: every
+/// 3-byte window, or the whole string when it is 1..3 bytes long. A gram's
+/// bytes fill the key from the top byte down, zero-padded, and its length
+/// takes the low byte, which tells "a" from "a\0": the key is injective on
+/// all byte strings, NUL and high bytes included.
+std::vector<uint32_t> TrigramKeys(std::string_view text) {
+  std::vector<uint32_t> keys;
+  const size_t len = std::min<size_t>(text.size(), 3);
+  if (len == 0) return keys;
+  keys.reserve(text.size() - len + 1);
+  for (size_t i = 0; i + len <= text.size(); ++i) {
+    uint32_t key = static_cast<uint32_t>(len);
+    for (size_t k = 0; k < len; ++k) {
+      key |= static_cast<uint32_t>(static_cast<unsigned char>(text[i + k]))
+             << (24 - 8 * k);
     }
+    keys.push_back(key);
   }
-  return n;
-}
-
-/// Jaccard over two sorted distinct profiles; both-empty yields 1.0 like the
-/// set-based kernel.
-double SortedJaccard(const std::vector<std::string>& a,
-                     const std::vector<std::string>& b) {
-  if (a.empty() && b.empty()) return 1.0;
-  const size_t inter = SortedIntersectionSize(a, b);
-  const size_t uni = a.size() + b.size() - inter;
-  return static_cast<double>(inter) / static_cast<double>(uni);
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  return keys;
 }
 
 /// Whether both profiles can merge on their u64 key columns at all.
@@ -131,8 +115,7 @@ size_t TokenKeyMerge(const TokenizedValue& a, const TokenizedValue& b,
   return inter;
 }
 
-/// Intersection size over the u32 trigram key columns (always exact when
-/// both sides are ordered: 4 bytes hold a whole 1..3-byte gram).
+/// Intersection size of the sorted distinct trigram key columns.
 size_t TrigramKeyIntersection(const TokenizedValue& a,
                               const TokenizedValue& b) {
   const uint32_t* ka = a.trigram_keys.data();
@@ -181,30 +164,21 @@ TokenizedValue TokenizedValue::Of(std::string_view text) {
     out.freq_norm_sq += freq * freq;
   }
 
-  out.trigrams = SortedDistinct(QGrams(text, 3));
-
-  // SoA key columns (see the header): one u64/u32 per distinct element,
+  // SoA key columns (see the header): one u64 per distinct token,
   // contiguous, so the merge kernels stream integers instead of strings.
   out.token_keys.reserve(out.token_counts.size());
   out.token_freqs.reserve(out.token_counts.size());
   out.token_keys_ordered = true;
   out.token_keys_exact = true;
   for (const auto& [token, freq] : out.token_counts) {
-    out.token_keys.push_back(PackKey<uint64_t>(token));
+    out.token_keys.push_back(TokenKey(token));
     out.token_freqs.push_back(freq);
     if (ContainsNul(token)) out.token_keys_ordered = false;
     if (token.size() > 8) out.token_keys_exact = false;
   }
   out.token_keys_exact &= out.token_keys_ordered;
 
-  out.trigram_keys.reserve(out.trigrams.size());
-  out.trigram_keys_ordered = true;
-  for (const std::string& gram : out.trigrams) {
-    out.trigram_keys.push_back(PackKey<uint32_t>(gram));
-    if (gram.size() > 4 || ContainsNul(gram)) {
-      out.trigram_keys_ordered = false;
-    }
-  }
+  out.trigram_keys = TrigramKeys(text);
   return out;
 }
 
@@ -291,13 +265,11 @@ double MongeElkanSymmetric(const TokenizedValue& a, const TokenizedValue& b) {
 }
 
 double TrigramSimilarity(const TokenizedValue& a, const TokenizedValue& b) {
-  if (a.trigram_keys_ordered && b.trigram_keys_ordered) {
-    if (a.trigrams.empty() && b.trigrams.empty()) return 1.0;
-    const size_t inter = TrigramKeyIntersection(a, b);
-    const size_t uni = a.trigrams.size() + b.trigrams.size() - inter;
-    return static_cast<double>(inter) / static_cast<double>(uni);
-  }
-  return SortedJaccard(a.trigrams, b.trigrams);
+  const size_t na = a.trigram_keys.size();
+  const size_t nb = b.trigram_keys.size();
+  if (na == 0 && nb == 0) return 1.0;
+  const size_t inter = TrigramKeyIntersection(a, b);
+  return static_cast<double>(inter) / static_cast<double>(na + nb - inter);
 }
 
 TokenCache::Shard& TokenCache::ShardOf(const std::string& text) {

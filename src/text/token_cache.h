@@ -23,8 +23,8 @@ namespace landmark {
 /// rebuilt their `std::set` / frequency-map scaffolding per kind. A
 /// TokenizedValue precomputes the shared views — the normalized token list,
 /// the sorted distinct token multiset with term frequencies, the squared
-/// frequency norm, and the sorted distinct character-trigram profile — so
-/// the similarity overloads below run allocation-free set merges instead.
+/// frequency norm, and the sorted distinct character-trigram keys — so the
+/// similarity overloads below run allocation-free set merges instead.
 ///
 /// **Equivalence contract.** Every overload taking TokenizedValue operands
 /// returns a double bit-identical to its `std::vector<std::string>` /
@@ -41,15 +41,19 @@ struct TokenizedValue {
   /// Sum of squared term frequencies, accumulated in sorted token order
   /// (the cosine kernel's per-side norm).
   double freq_norm_sq = 0.0;
-  /// Distinct character 3-grams of the raw string, sorted ascending.
-  std::vector<std::string> trigrams;
+  /// The distinct character 3-grams of the raw string (QGrams(text, 3)),
+  /// one u32 key each, sorted ascending. A key holds the gram's 1..3 bytes
+  /// from the top byte down, zero-padded, and the gram length in the low
+  /// byte, so it is injective on every byte string (NUL and high bytes
+  /// included) and the trigram Jaccard needs no string column at all.
+  std::vector<uint32_t> trigram_keys;
 
-  // --- structure-of-arrays mirrors of the profiles above -----------------
+  // --- structure-of-arrays mirrors of token_counts ----------------------
   // The merge kernels stream these contiguous key/frequency columns
   // instead of chasing std::string heads: one u64 compare replaces a
   // byte-wise string compare on (almost) every merge step, and sorted-key
-  // runs can be skipped with util/simd.h galloping. The kernels fall back
-  // to the string columns whenever the encodings below lose information,
+  // runs can be skipped with util/simd.h galloping. The token merges fall
+  // back to the string column whenever the keys below lose information,
   // so results are bit-identical either way.
 
   /// Big-endian zero-padded first-8-bytes key of token_counts[i].first.
@@ -63,12 +67,6 @@ struct TokenizedValue {
   bool token_keys_ordered = false;
   /// Key equality == string equality: ordered and every token <= 8 bytes.
   bool token_keys_exact = false;
-
-  /// Big-endian zero-padded key of trigrams[i] (grams are 1..3 bytes, so
-  /// 4 bytes always hold the whole gram: equality is exact when ordered).
-  std::vector<uint32_t> trigram_keys;
-  /// Every gram is NUL-free (key order and equality both faithful).
-  bool trigram_keys_ordered = false;
 
   /// Tokenizes and profiles `text` (the raw attribute string).
   static TokenizedValue Of(std::string_view text);
@@ -90,7 +88,7 @@ double CosineTokenSimilarity(const TokenizedValue& a, const TokenizedValue& b);
 /// vector<string> overload on NormalizedTokens.
 double MongeElkanSymmetric(const TokenizedValue& a, const TokenizedValue& b);
 
-/// Jaccard over the precomputed trigram profiles; bit-identical to
+/// Jaccard over the precomputed trigram keys; bit-identical to
 /// TrigramSimilarity(a.text, b.text).
 double TrigramSimilarity(const TokenizedValue& a, const TokenizedValue& b);
 

@@ -14,7 +14,7 @@
 /// stays centralized and auditable.
 ///
 /// **Exactness contract.** Every kernel here produces bit-identical results
-/// to its scalar fallback, on every ISA:
+/// to its scalar reference, on every ISA:
 ///   - integer kernels (popcount, sorted-key galloping, Myers Levenshtein,
 ///     bit-parallel Jaro match counting) are exact by construction;
 ///   - floating-point kernels are restricted to *lane-independent
@@ -27,11 +27,18 @@
 ///     reductions (dot products) are deliberately *not* offered: any lane
 ///     split would reassociate the sum.
 ///
-/// Kernel choice is runtime ISA dispatch plus fixed length limits (the
-/// string kernels take patterns of at most 64 characters; callers fall back
-/// to their scalar loops beyond that). There is no process-wide switch: the
-/// scalar references live in tests/util/simd_test.cc, which pins every
-/// kernel against them.
+/// Kernel choice is runtime ISA dispatch plus string length. The
+/// bit-parallel string kernels take strings of any length, so no caller
+/// keeps a scalar fallback: strings of at most 64 bytes run a one-word
+/// kernel whose state sits in registers, longer ones a blocked kernel that
+/// splits the string into ⌈len/64⌉ machine words and carries deltas /
+/// match state from word to word. Their per-character mask tables and
+/// per-word state are per-thread scratch, reused across calls: a fixed
+/// 256-word table for the one-word kernels, and for the blocked ones at
+/// most 256·⌈m/64⌉ + 2·⌈m/64⌉ words (2 KB + 16 bytes per 64 characters),
+/// where m is the longest string the thread has passed. There is no
+/// process-wide switch: the scalar references live in
+/// tests/util/simd_test.cc, which pins every kernel against them.
 namespace landmark::simd {
 
 /// Instruction set detected on the running CPU (cached after first call).
@@ -62,18 +69,19 @@ size_t AdvanceWhileLess64(const uint64_t* keys, size_t i, size_t n,
 size_t AdvanceWhileLess32(const uint32_t* keys, size_t i, size_t n,
                           uint32_t limit);
 
-/// Myers' bit-parallel Levenshtein distance. Exact — computes the same
-/// value as the classic O(m*n) dynamic program, one 64-bit column step per
-/// character of `b`. Requires `a.size() <= 64` (the pattern is held in one
-/// machine word); callers swap so the shorter string is `a`.
+/// Myers' bit-parallel Levenshtein distance, blocked over ⌈|a|/64⌉ words
+/// with Hyyrö's carry of the horizontal deltas from word to word (Myers
+/// 1999; Hyyrö 2003). Exact — computes the same value as the classic
+/// O(m*n) dynamic program in O(⌈m/64⌉·n) word steps. Any lengths; callers
+/// pass the shorter string as the pattern `a` to keep the word count low.
 size_t MyersLevenshtein(std::string_view a, std::string_view b);
 
-/// Jaro match / transposition counts via bitmask candidate selection: one
-/// word op picks the first unmatched equal character inside the match
-/// window instead of scanning it char by char. The greedy choice (lowest
-/// eligible index, left to right over `a`) is identical to the classic
-/// nested-loop scan, so both counts are exact. Requires `a.size() <= 64 &&
-/// b.size() <= 64` (`b`'s match state lives in one word).
+/// Jaro match / transposition counts via bitmask candidate selection over
+/// ⌈|b|/64⌉ words: a few word ops pick the first unmatched equal character
+/// inside the match window instead of scanning it char by char. The greedy
+/// choice (lowest eligible index, left to right over `a`) is identical to
+/// the classic nested-loop scan, so both counts are exact. Any lengths;
+/// both counts are 0 when either string is empty.
 void JaroCounts(std::string_view a, std::string_view b, size_t* matches,
                 size_t* transpositions);
 

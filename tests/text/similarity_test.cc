@@ -13,20 +13,41 @@ namespace {
 
 using Tokens = std::vector<std::string>;
 
-std::string RandomString(Rng& rng, size_t min_len, size_t max_len,
-                         int alphabet) {
-  const size_t len = static_cast<size_t>(rng.NextInt(
-      static_cast<int64_t>(min_len), static_cast<int64_t>(max_len)));
-  std::string out;
-  for (size_t i = 0; i < len; ++i) {
-    out.push_back(static_cast<char>('a' + rng.NextInt(0, alphabet - 1)));
+/// A random string whose length is drawn from [min_len, max_len] and whose
+/// bytes come from `alphabet` (which may hold NUL and bytes >= 0x80).
+std::string RandomBytes(Rng& rng, size_t min_len, size_t max_len,
+                        const std::string& alphabet) {
+  std::string out(static_cast<size_t>(rng.NextInt(
+                      static_cast<int64_t>(min_len),
+                      static_cast<int64_t>(max_len))),
+                  '\0');
+  for (char& c : out) {
+    c = alphabet[static_cast<size_t>(
+        rng.NextInt(0, static_cast<int64_t>(alphabet.size()) - 1))];
   }
   return out;
 }
 
+/// Repeat-heavy letters, the full lowercase range, and raw bytes with NUL
+/// and the top half of the byte range.
+const std::vector<std::string>& Alphabets() {
+  static const std::vector<std::string>* alphabets =
+      new std::vector<std::string>{"abc", "abcdefghijklmnopqrstuvwxyz",
+                                   std::string("\0a\x80\xff\x7f", 5)};
+  return *alphabets;
+}
+
+/// Lengths straddling each 64-bit word boundary up to four words.
+struct LengthBand {
+  size_t lo;
+  size_t hi;
+};
+constexpr LengthBand kWordBoundaryBands[] = {
+    {56, 72}, {120, 136}, {184, 200}, {248, 264}};
+
 /// Classic O(m*n) edit-distance DP, written out independently of
-/// similarity.cc: the reference for both the word-sized Myers kernel and
-/// the long-string fallback.
+/// similarity.cc: the reference for the blocked Myers kernel at every
+/// length.
 size_t ReferenceLevenshtein(const std::string& a, const std::string& b) {
   std::vector<size_t> prev(a.size() + 1);
   std::vector<size_t> curr(a.size() + 1);
@@ -75,35 +96,53 @@ double ReferenceJaro(const std::string& a, const std::string& b) {
   return (m / la + m / lb + (m - transpositions / 2.0) / m) / 3.0;
 }
 
-// The bit-parallel kernels take strings of at most 64 characters; longer
-// ones fall back to the scalar loops. Lengths here straddle that limit on
-// both sides so each comparison exercises the dispatch, not just a kernel.
+// The bit-parallel kernels split strings into 64-bit words. Lengths here
+// straddle each word boundary up to four words, on both sides of the call,
+// so each comparison crosses the carry from one word to the next.
 TEST(LevenshteinTest, MatchesScalarDpAcrossWordLimit) {
   Rng rng(61);
-  for (int trial = 0; trial < 600; ++trial) {
-    // Small alphabets force repeats, the hard case for the bit deltas.
-    const int alphabet = trial % 2 == 0 ? 3 : 26;
-    const std::string a = RandomString(rng, 56, 72, alphabet);
-    const std::string b = RandomString(rng, 0, 100, alphabet);
-    EXPECT_EQ(LevenshteinDistance(a, b), ReferenceLevenshtein(a, b))
-        << "a=" << a << " b=" << b;
-    EXPECT_EQ(LevenshteinDistance(b, a), ReferenceLevenshtein(a, b))
-        << "a=" << b << " b=" << a;
+  for (const LengthBand band : kWordBoundaryBands) {
+    for (int trial = 0; trial < 300; ++trial) {
+      const std::string& alphabet = Alphabets()[trial % 3];
+      const std::string a = RandomBytes(rng, band.lo, band.hi, alphabet);
+      const std::string b = RandomBytes(rng, 0, band.hi + 40, alphabet);
+      EXPECT_EQ(LevenshteinDistance(a, b), ReferenceLevenshtein(a, b))
+          << "|a|=" << a.size() << " |b|=" << b.size();
+      EXPECT_EQ(LevenshteinDistance(b, a), ReferenceLevenshtein(a, b))
+          << "|a|=" << b.size() << " |b|=" << a.size();
+    }
   }
+  // One long pair: the second is the first with 50 substitutions and a
+  // 100-byte deletion.
+  const std::string a = RandomBytes(rng, 20000, 20000, Alphabets()[2]);
+  std::string b = a;
+  for (int edit = 0; edit < 50; ++edit) {
+    b[static_cast<size_t>(rng.NextInt(0, 19999))] = 'z';
+  }
+  b.erase(b.begin() + 7000, b.begin() + 7100);
+  EXPECT_EQ(LevenshteinDistance(a, b), ReferenceLevenshtein(a, b));
 }
 
 TEST(JaroTest, MatchesScalarScanAcrossWordLimit) {
   Rng rng(62);
-  for (int trial = 0; trial < 600; ++trial) {
-    const int alphabet = trial % 2 == 0 ? 3 : 26;
-    const std::string a = RandomString(rng, 56, 72, alphabet);
-    const std::string b = RandomString(rng, 0, 100, alphabet);
-    // EXPECT_EQ on doubles: the contract is bit-equality, not epsilon.
-    EXPECT_EQ(JaroSimilarity(a, b), ReferenceJaro(a, b))
-        << "a=" << a << " b=" << b;
-    EXPECT_EQ(JaroSimilarity(b, a), ReferenceJaro(b, a))
-        << "a=" << b << " b=" << a;
+  for (const LengthBand band : kWordBoundaryBands) {
+    for (int trial = 0; trial < 300; ++trial) {
+      const std::string& alphabet = Alphabets()[trial % 3];
+      const std::string a = RandomBytes(rng, band.lo, band.hi, alphabet);
+      const std::string b = RandomBytes(rng, 0, band.hi + 40, alphabet);
+      // EXPECT_EQ on doubles: the contract is bit-equality, not epsilon.
+      EXPECT_EQ(JaroSimilarity(a, b), ReferenceJaro(a, b))
+          << "|a|=" << a.size() << " |b|=" << b.size();
+      EXPECT_EQ(JaroSimilarity(b, a), ReferenceJaro(b, a))
+          << "|a|=" << b.size() << " |b|=" << a.size();
+    }
   }
+  const std::string a = RandomBytes(rng, 20000, 20000, Alphabets()[2]);
+  std::string b = a;
+  std::reverse(b.begin() + 5000, b.begin() + 6000);
+  b.erase(b.begin() + 12000, b.begin() + 12100);
+  EXPECT_EQ(JaroSimilarity(a, b), ReferenceJaro(a, b));
+  EXPECT_EQ(JaroSimilarity(b, a), ReferenceJaro(b, a));
 }
 
 TEST(LevenshteinTest, KnownDistances) {
@@ -177,6 +216,63 @@ TEST(MongeElkanTest, FindsBestAlignments) {
   EXPECT_GT(MongeElkanSymmetric({"sony"}, {"snoy", "case"}), 0.5);
   EXPECT_DOUBLE_EQ(MongeElkanSymmetric({}, {}), 1.0);
   EXPECT_DOUBLE_EQ(MongeElkanSymmetric({"a"}, {}), 0.0);
+}
+
+/// Monge-Elkan without the early exit at best == 1.0: the loop the exit
+/// must reproduce bit for bit.
+double MongeElkanFullScan(const Tokens& a, const Tokens& b) {
+  if (a.empty() && b.empty()) return 1.0;
+  if (a.empty() || b.empty()) return 0.0;
+  double total = 0.0;
+  for (const auto& ta : a) {
+    double best = 0.0;
+    for (const auto& tb : b) {
+      best = std::max(best, JaroWinklerSimilarity(ta, tb));
+    }
+    total += best;
+  }
+  return total / static_cast<double>(a.size());
+}
+
+TEST(MongeElkanTest, EarlyExitMatchesFullScan) {
+  Rng rng(63);
+  // A small vocabulary makes exact matches (and repeats of them, before
+  // and after near-misses) common, so the exit fires at every position.
+  const Tokens vocabulary = {"sony", "snoy", "sonny", "cam", "camera",
+                             "a", "ab", std::string("\0\x80", 2), "\xff"};
+  for (int trial = 0; trial < 400; ++trial) {
+    Tokens a, b;
+    const int na = static_cast<int>(rng.NextInt(0, 6));
+    const int nb = static_cast<int>(rng.NextInt(0, 8));
+    for (int i = 0; i < na; ++i) {
+      a.push_back(vocabulary[static_cast<size_t>(rng.NextInt(0, 8))]);
+    }
+    for (int i = 0; i < nb; ++i) {
+      // One token in four is random, so some rows never reach 1.0.
+      b.push_back(rng.NextInt(0, 3) == 0
+                      ? RandomBytes(rng, 1, 6, Alphabets()[trial % 3])
+                      : vocabulary[static_cast<size_t>(rng.NextInt(0, 8))]);
+    }
+    // EXPECT_EQ on doubles: the contract is bit-equality, not epsilon.
+    EXPECT_EQ(MongeElkanSimilarity(a, b), MongeElkanFullScan(a, b));
+    EXPECT_EQ(MongeElkanSimilarity(b, a), MongeElkanFullScan(b, a));
+    EXPECT_EQ(MongeElkanSymmetric(a, b),
+              0.5 * (MongeElkanFullScan(a, b) + MongeElkanFullScan(b, a)));
+  }
+}
+
+TEST(JaroWinklerTest, NeverExceedsOne) {
+  // The bound the Monge-Elkan early exit rests on, over lengths that cross
+  // word boundaries and prefixes that share up to the full four bytes.
+  Rng rng(64);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const std::string& alphabet = Alphabets()[trial % 3];
+    const std::string a = RandomBytes(rng, 0, 140, alphabet);
+    const std::string b = a.substr(0, std::min<size_t>(a.size(), 4)) +
+                    RandomBytes(rng, 0, 140, alphabet);
+    EXPECT_LE(JaroWinklerSimilarity(a, b), 1.0);
+    EXPECT_LE(JaroWinklerSimilarity(b, a), 1.0);
+  }
 }
 
 TEST(TrigramTest, SharedSubstringsScoreHigher) {

@@ -80,13 +80,12 @@ TEST(TokenizedValueTest, SimilaritiesBitIdenticalToStringPath) {
   }
 }
 
-/// A copy of `v` whose key columns are marked unusable, which sends every
-/// merge down its string-column fallback (the path profiles take when a
-/// token or gram contains a NUL byte).
+/// A copy of `v` whose token key columns are marked unusable, which sends
+/// every token merge down its string-column fallback (the path profiles
+/// take when a token contains a NUL byte).
 TokenizedValue WithoutKeys(TokenizedValue v) {
   v.token_keys_ordered = false;
   v.token_keys_exact = false;
-  v.trigram_keys_ordered = false;
   return v;
 }
 
@@ -102,7 +101,7 @@ TEST(TokenizedValueTest, KeyedMergesMatchStringMerges) {
     for (const std::string& b : corpus) {
       const TokenizedValue ka = TokenizedValue::Of(a);
       const TokenizedValue kb = TokenizedValue::Of(b);
-      ASSERT_TRUE(ka.token_keys_ordered && ka.trigram_keys_ordered) << a;
+      ASSERT_TRUE(ka.token_keys_ordered) << a;
       const TokenizedValue sa = WithoutKeys(ka);
       const TokenizedValue sb = WithoutKeys(kb);
       EXPECT_EQ(JaccardSimilarity(ka, kb), JaccardSimilarity(sa, sb))
@@ -111,8 +110,42 @@ TEST(TokenizedValueTest, KeyedMergesMatchStringMerges) {
           << "overlap(\"" << a << "\", \"" << b << "\")";
       EXPECT_EQ(CosineTokenSimilarity(ka, kb), CosineTokenSimilarity(sa, sb))
           << "cosine(\"" << a << "\", \"" << b << "\")";
-      EXPECT_EQ(TrigramSimilarity(ka, kb), TrigramSimilarity(sa, sb))
-          << "trigram(\"" << a << "\", \"" << b << "\")";
+    }
+  }
+
+  // Trigram keys are injective on every byte string, so there is no string
+  // fallback left to compare against: pin the keyed Jaccard to the string
+  // kernel directly, on grams with NUL and high bytes, on strings of 0-4
+  // bytes (where the whole string is one 1-3 byte gram, or two 3-grams),
+  // and on grams that differ only in a trailing NUL ("a" vs "a\0").
+  const std::vector<std::string> grams = {
+      "",
+      std::string("\0", 1),
+      std::string("\0\0", 2),
+      std::string("\0\0\0", 3),
+      std::string("\0\0\0\0", 4),
+      "a",
+      std::string("a\0", 2),
+      std::string("a\0\0", 3),
+      std::string("\0a", 2),
+      "ab",
+      "abc",
+      "abcd",
+      "\x80",
+      "\xff\xfe",
+      "\x80\xff\x80",
+      "\xff\xff\xff\xff",
+      std::string("\xff\0\x80" "a", 4),
+      std::string("ab\0cd\0ab\0", 8),
+      "abcabcabc",
+      "\xc3\xa9t\xc3\xa9 \xc3\xa9t\xc3\xa9",
+  };
+  for (const std::string& a : grams) {
+    for (const std::string& b : grams) {
+      EXPECT_EQ(TrigramSimilarity(TokenizedValue::Of(a), TokenizedValue::Of(b)),
+                TrigramSimilarity(a, b))
+          << "trigram(" << ::testing::PrintToString(a) << ", "
+          << ::testing::PrintToString(b) << ")";
     }
   }
 }

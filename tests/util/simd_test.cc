@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace landmark {
 namespace {
@@ -27,6 +28,39 @@ std::string RandomString(Rng& rng, size_t max_len, int alphabet) {
     out.push_back(static_cast<char>('a' + rng.NextInt(0, static_cast<int64_t>(alphabet) - 1)));
   }
   return out;
+}
+
+/// `len` bytes drawn uniformly from `alphabet` (which may hold NUL).
+std::string RandomBytes(Rng& rng, size_t len, const std::string& alphabet) {
+  std::string out(len, '\0');
+  for (char& c : out) {
+    c = alphabet[static_cast<size_t>(
+        rng.NextInt(0, static_cast<int64_t>(alphabet.size()) - 1))];
+  }
+  return out;
+}
+
+/// Alphabets for the word-boundary sweeps: few symbols force the repeats
+/// that stress the bit deltas and match windows; the last one has NUL and
+/// bytes >= 0x80, which index the top half of the mask table.
+const std::vector<std::string>& Alphabets() {
+  static const std::vector<std::string>* alphabets =
+      new std::vector<std::string>{"abc", "abcdefghijklmnopqrstuvwxyz",
+                                   std::string("\0a\x80\xff\x7f", 5)};
+  return *alphabets;
+}
+
+/// Length bands straddling each 64-bit word boundary up to four words.
+struct LengthBand {
+  size_t lo;
+  size_t hi;
+};
+constexpr LengthBand kWordBoundaryBands[] = {
+    {56, 72}, {120, 136}, {184, 200}, {248, 264}};
+
+size_t RandomLength(Rng& rng, LengthBand band) {
+  return static_cast<size_t>(rng.NextInt(static_cast<int64_t>(band.lo),
+                                         static_cast<int64_t>(band.hi)));
 }
 
 /// Classic O(m*n) Levenshtein, the oracle for Myers.
@@ -91,6 +125,26 @@ TEST(SimdTest, MyersLevenshteinMatchesClassicDp) {
     EXPECT_EQ(simd::MyersLevenshtein(a, b), ReferenceLevenshtein(a, b))
         << "a=" << a << " b=" << b;
   }
+  // Length as one more input: patterns and texts on either side of each
+  // word boundary, in every pairing of bands, over every alphabet.
+  for (const LengthBand band_a : kWordBoundaryBands) {
+    for (const LengthBand band_b : kWordBoundaryBands) {
+      for (const std::string& alphabet : Alphabets()) {
+        for (int trial = 0; trial < 8; ++trial) {
+          const std::string a =
+              RandomBytes(rng, RandomLength(rng, band_a), alphabet);
+          const std::string b =
+              RandomBytes(rng, RandomLength(rng, band_b), alphabet);
+          EXPECT_EQ(simd::MyersLevenshtein(a, b), ReferenceLevenshtein(a, b))
+              << "|a|=" << a.size() << " |b|=" << b.size();
+        }
+      }
+    }
+  }
+  // One long pair: 313 words per column step, with NUL and high bytes.
+  const std::string a = RandomBytes(rng, 20000, Alphabets()[2]);
+  const std::string b = RandomBytes(rng, 20000, Alphabets()[2]);
+  EXPECT_EQ(simd::MyersLevenshtein(a, b), ReferenceLevenshtein(a, b));
 }
 
 TEST(SimdTest, JaroCountsMatchClassicScan) {
@@ -104,6 +158,63 @@ TEST(SimdTest, JaroCountsMatchClassicScan) {
     ReferenceJaroCounts(a, b, &ref_m, &ref_t);
     EXPECT_EQ(fast_m, ref_m) << "a=" << a << " b=" << b;
     EXPECT_EQ(fast_t, ref_t) << "a=" << a << " b=" << b;
+  }
+  // Length as one more input: windows and matched sets that span word
+  // boundaries, in every pairing of bands, over every alphabet.
+  const auto expect_counts_match = [](const std::string& a,
+                                      const std::string& b) {
+    size_t fast_m = 0, fast_t = 0, ref_m = 0, ref_t = 0;
+    simd::JaroCounts(a, b, &fast_m, &fast_t);
+    ReferenceJaroCounts(a, b, &ref_m, &ref_t);
+    EXPECT_EQ(fast_m, ref_m) << "|a|=" << a.size() << " |b|=" << b.size();
+    EXPECT_EQ(fast_t, ref_t) << "|a|=" << a.size() << " |b|=" << b.size();
+  };
+  for (const LengthBand band_a : kWordBoundaryBands) {
+    for (const LengthBand band_b : kWordBoundaryBands) {
+      for (const std::string& alphabet : Alphabets()) {
+        for (int trial = 0; trial < 8; ++trial) {
+          expect_counts_match(
+              RandomBytes(rng, RandomLength(rng, band_a), alphabet),
+              RandomBytes(rng, RandomLength(rng, band_b), alphabet));
+        }
+      }
+    }
+  }
+  // One long pair: a match window of 9,999 positions, about 157 words.
+  expect_counts_match(RandomBytes(rng, 20000, Alphabets()[2]),
+                      RandomBytes(rng, 20000, Alphabets()[2]));
+}
+
+TEST(SimdTest, StringKernelsAgreeAcrossThreads) {
+  // The string kernels keep their mask tables and state per thread. Calls
+  // on four workers, with lengths on both sides of each word boundary (so
+  // every worker switches between the one-word and blocked kernels and
+  // regrows its scratch), must still match the oracles. The TSan build
+  // re-runs this suite.
+  Rng rng(47);
+  std::vector<std::string> as, bs;
+  for (size_t i = 0; i < 64; ++i) {
+    const std::string& alphabet = Alphabets()[i % 3];
+    as.push_back(RandomBytes(rng, RandomLength(rng, kWordBoundaryBands[i % 4]),
+                             alphabet));
+    bs.push_back(RandomBytes(
+        rng, RandomLength(rng, kWordBoundaryBands[(i / 4) % 4]), alphabet));
+  }
+  std::vector<size_t> distance(as.size()), matches(as.size()),
+      transpositions(as.size());
+  ThreadPool pool(4);
+  pool.ParallelFor(as.size(), [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      distance[i] = simd::MyersLevenshtein(as[i], bs[i]);
+      simd::JaroCounts(as[i], bs[i], &matches[i], &transpositions[i]);
+    }
+  });
+  for (size_t i = 0; i < as.size(); ++i) {
+    size_t ref_m = 0, ref_t = 0;
+    ReferenceJaroCounts(as[i], bs[i], &ref_m, &ref_t);
+    EXPECT_EQ(distance[i], ReferenceLevenshtein(as[i], bs[i])) << "case " << i;
+    EXPECT_EQ(matches[i], ref_m) << "case " << i;
+    EXPECT_EQ(transpositions[i], ref_t) << "case " << i;
   }
 }
 
