@@ -17,7 +17,9 @@
 #               run training's concurrent ExtractInto and PredictProba, and
 #               the Levenshtein / Jaro / Simd / TokenizedValue / TokenCache
 #               suites whose string kernels keep per-thread scratch and run
-#               from concurrent query nodes) so a race there fails loudly
+#               from concurrent query nodes, and the PreparedBatch suites,
+#               whose batches fill Jaro-Winkler tables from concurrent query
+#               nodes) so a race there fails loudly
 #               even when triaging the full run
 #   deadlock-debug  dedicated -DLANDMARK_DEADLOCK_DEBUG=ON build (no
 #               sanitizers): death tests for the runtime lock-order
@@ -61,7 +63,7 @@ done
 
 echo "=== [tsan] telemetry + scheduler focused re-run ==="
 ctest --preset tsan -j "$JOBS" -R \
-  'Counter|Gauge|Histogram|MetricsRegistry|TraceRecorder|EngineTelemetry|ThreadPool|HttpExporter|Audit|Prometheus|TaskGraph|Scheduler|EngineOneRecord|FlightDeck|Profiler|Activity|Stall|EmTraining|FeatureExtractor|PreparedFeatures|Levenshtein|Jaro|Simd|TokenizedValue|TokenCache'
+  'Counter|Gauge|Histogram|MetricsRegistry|TraceRecorder|EngineTelemetry|ThreadPool|HttpExporter|Audit|Prometheus|TaskGraph|Scheduler|EngineOneRecord|FlightDeck|Profiler|Activity|Stall|EmTraining|FeatureExtractor|PreparedFeatures|PreparedBatch|Levenshtein|Jaro|Simd|TokenizedValue|TokenCache'
 
 echo "=== [default] telemetry outputs ==="
 cmake -B build -S . -DLANDMARK_WERROR=ON >/dev/null

@@ -457,12 +457,15 @@ EngineBatchResult RunGraph(const EngineOptions& options, const EmModel& model,
     work.predictions.resize(work.reconstructed.size());
     // Per-unit prepared batch over the shared cache: the frozen landmark
     // side resolves once per unit, every other string through the
-    // concurrent cache. reconstructed[0] is the all-active mask's pair.
-    PreparedPairBatch prepared(work.reconstructed, &token_cache);
+    // concurrent cache, then the batch builds its token vocabularies and
+    // Jaro-Winkler tables. reconstructed[0] is the all-active mask's pair.
+    TraceSpan prepare_span("engine/prepare");
     const LandmarkFeatureContext context = MakeLandmarkFeatureContext(
         work.reconstructed.front(), explainer.FrozenSide(work.unit),
         token_cache);
-    prepared.PrepareRange(0, work.reconstructed.size(), context);
+    const PreparedPairBatch prepared(work.reconstructed, &token_cache,
+                                     context);
+    prepare_span.End();
     model.PredictProbaPrepared(prepared, 0, work.reconstructed.size(),
                                work.predictions.data());
     work.query_seconds = timer.ElapsedSeconds();

@@ -39,10 +39,17 @@ void FeatureExtractor::ExtractPrepared(const PreparedPairBatch& prepared,
                                        size_t pair_index, double* out) const {
   LANDMARK_CHECK(prepared.num_attributes() == schema_->num_attributes());
   for (size_t a = 0; a < schema_->num_attributes(); ++a) {
-    ComputeAllAttributeFeatures(
-        prepared.value(pair_index, a, EntitySide::kLeft),
-        prepared.value(pair_index, a, EntitySide::kRight),
-        out + a * kNumAttributeFeatures);
+    const PreparedValue left = prepared.value(pair_index, a, EntitySide::kLeft);
+    const PreparedValue right =
+        prepared.value(pair_index, a, EntitySide::kRight);
+    double* row = out + a * kNumAttributeFeatures;
+    for (size_t k = 0; k < kNumAttributeFeatures; ++k) {
+      const auto kind = static_cast<AttributeFeatureKind>(k);
+      // Monge-Elkan reads the batch's Jaro-Winkler tables.
+      row[k] = kind == AttributeFeatureKind::kMongeElkan
+                   ? prepared.MongeElkan(pair_index, a)
+                   : ComputeAttributeFeature(kind, left, right);
+    }
   }
 }
 

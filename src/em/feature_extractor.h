@@ -53,7 +53,8 @@ class FeatureExtractor {
 
   /// Prepared fast path: extracts pair `pair_index` of `prepared` into
   /// out[0, num_features()) from its resolved token profiles, without
-  /// tokenizing. Bit-identical to ExtractInto on the same pair.
+  /// tokenizing, and Monge-Elkan from the batch's Jaro-Winkler tables.
+  /// Bit-identical to ExtractInto on the same pair.
   void ExtractPrepared(const PreparedPairBatch& prepared, size_t pair_index,
                        double* out) const;
 

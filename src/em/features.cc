@@ -110,14 +110,6 @@ double ComputeAttributeFeature(AttributeFeatureKind kind,
   return 0.0;
 }
 
-void ComputeAllAttributeFeatures(const PreparedValue& left,
-                                 const PreparedValue& right, double* out) {
-  for (size_t k = 0; k < kNumAttributeFeatures; ++k) {
-    out[k] = ComputeAttributeFeature(static_cast<AttributeFeatureKind>(k),
-                                     left, right);
-  }
-}
-
 void ComputeAllAttributeFeatures(const Value& left, const Value& right,
                                  double* out) {
   // Profile each side once on the stack and share it across all nine kinds,
@@ -134,7 +126,10 @@ void ComputeAllAttributeFeatures(const Value& left, const Value& right,
     right_tokens = TokenizedValue::Of(right.text());
     pr.tokens = &right_tokens;
   }
-  ComputeAllAttributeFeatures(pl, pr, out);
+  for (size_t k = 0; k < kNumAttributeFeatures; ++k) {
+    out[k] = ComputeAttributeFeature(static_cast<AttributeFeatureKind>(k),
+                                     pl, pr);
+  }
 }
 
 std::vector<double> ComputeAllAttributeFeatures(const Value& left,

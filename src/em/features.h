@@ -77,11 +77,6 @@ std::vector<double> ComputeAllAttributeFeatures(const Value& left,
 void ComputeAllAttributeFeatures(const Value& left, const Value& right,
                                  double* out);
 
-/// Prepared-path variant over already-resolved profiles (the engine's
-/// query fast path); writes into out[0, kNumAttributeFeatures).
-void ComputeAllAttributeFeatures(const PreparedValue& left,
-                                 const PreparedValue& right, double* out);
-
 }  // namespace landmark
 
 #endif  // LANDMARK_EM_FEATURES_H_

@@ -171,7 +171,7 @@ TEST(EngineTelemetryTest, TraceContainsAllFourStageSpans) {
   for (const std::string* json : {&batch_json, &one_json}) {
     for (const char* span :
          {"engine/batch", "engine/plan", "engine/reconstruct", "engine/query",
-          "engine/fit", "model/query"}) {
+          "engine/prepare", "engine/fit", "model/query"}) {
       EXPECT_NE(json->find(std::string("\"") + span + "\""),
                 std::string::npos)
           << span;

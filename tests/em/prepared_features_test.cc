@@ -110,8 +110,7 @@ TEST(PreparedFeaturesTest, ExtractPreparedMatchesExtract) {
   FeatureExtractor extractor(pairs.front().left.schema());
 
   TokenCache cache;
-  PreparedPairBatch prepared(pairs, &cache);
-  prepared.PrepareRange(0, pairs.size());
+  const PreparedPairBatch prepared(pairs, &cache);
 
   std::vector<double> row(extractor.num_features());
   for (size_t p = 0; p < pairs.size(); ++p) {
@@ -144,14 +143,12 @@ TEST(PreparedFeaturesTest, FrozenSideSharingMatchesUnsharedPreparation) {
 
   FeatureExtractor extractor(schema);
   TokenCache shared_cache;
-  PreparedPairBatch shared(pairs, &shared_cache);
   const LandmarkFeatureContext context = MakeLandmarkFeatureContext(
       pairs.front(), EntitySide::kRight, shared_cache);
-  shared.PrepareRange(0, pairs.size(), context);
+  const PreparedPairBatch shared(pairs, &shared_cache, context);
 
   TokenCache plain_cache;
-  PreparedPairBatch plain(pairs, &plain_cache);
-  plain.PrepareRange(0, pairs.size());
+  const PreparedPairBatch plain(pairs, &plain_cache);
 
   std::vector<double> a(extractor.num_features());
   std::vector<double> b(extractor.num_features());
